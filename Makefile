@@ -1,4 +1,4 @@
-.PHONY: build test faults crash fuzz chaos shrink tamper federation overload bench bench-quick bench-coverage bench-wal bench-governor
+.PHONY: build test faults crash fuzz chaos shrink tamper federation overload bench bench-quick bench-coverage bench-wal bench-governor perfbench perfbench-trace
 
 build:
 	dune build
@@ -89,3 +89,19 @@ bench-wal:
 # Only the query-governance overhead sweep (E13); refreshes BENCH_governor.json.
 bench-governor:
 	dune exec bench/main.exe -- governor
+
+# The repository benchmark (BENCHMARK.json): every workload on seed 1 for
+# 20 s each, end-to-end metrics only.  See perfbench/README.md.
+PERFBENCH_WORKLOADS = monitor refine enforce
+
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
+
+# The same runs traced: per-layer self time and allocation for each span,
+# written to .perfbench/.
+perfbench-trace:
+	for w in $(PERFBENCH_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 1 || exit 1; \
+	done

@@ -9,12 +9,14 @@
    - [consolidated] is the trusted direct view — it reads every site's
      store in-process and cannot fail; it is also the fault-free baseline
      the fault-matrix suite compares against;
-   - [consolidated_result] is the production path: each site is fetched
+   - [consolidated_view] is the production path: each site is fetched
      through its fault wrapper (if any) under retry/backoff, gated by a
      per-site circuit breaker, with corrupted records quarantined — and the
      result carries a health report accounting for 100% of input records
      (delivered + quarantined + stranded at skipped sites) plus the
-     completeness fraction downstream coverage must surface. *)
+     completeness fraction downstream coverage must surface.  It yields
+     pattern counts eagerly and the merged entries lazily;
+     [consolidated_result] forces them. *)
 
 type member = {
   mutable msite : Site.t; (* mutable so a crash-recovered site can be reseated *)
@@ -188,20 +190,62 @@ let merge_streams = Tournament.merge_entries
 let consolidated t : Hdb.Audit_schema.entry list =
   merge_streams (List.map sorted_entries (sites t))
 
+(* One member's contribution to a consolidation.  A fault-free member
+   contributes its store and the length it had at consolidation: the
+   store is append-only, so that prefix never changes, and it is copied
+   out only if the merged entries are forced.  Every other member
+   contributes the entries actually delivered — fetched through a fault
+   wrapper, archived, or served stale — sorted by time. *)
+type stream =
+  | Prefix of Hdb.Audit_store.t * int
+  | Delivered of Hdb.Audit_schema.entry list
+
+let stream_entries = function
+  | Prefix (store, n) -> sort_defensively (Hdb.Audit_store.prefix store n)
+  | Delivered entries -> entries
+
 (* One site through its fault wrapper under retry; [None] fault is a
    perfect in-process transport. *)
-let fetch_member t m : (Fault.fetched * int, string) result =
+let fetch_member t m =
   match m.fault with
   | None ->
-    Ok ({ Fault.delivered = Site.entries m.msite; corrupted = [] }, 0)
+    let store = Site.store m.msite in
+    Ok (Prefix (store, Hdb.Audit_store.length store), [], 0)
   | Some f ->
     let result, stats =
       Retry.run ~policy:t.retry ~prng:t.prng ~clock:t.clock (fun ~attempt:_ ->
           Fault.fetch f ~clock:t.clock)
     in
     (match result with
-    | Ok fetched -> Ok (fetched, stats.Retry.attempts - 1)
+    | Ok fetched ->
+      Ok
+        ( Delivered (sort_defensively fetched.Fault.delivered),
+          fetched.Fault.corrupted,
+          stats.Retry.attempts - 1 )
     | Error failure -> Error (Fault.failure_to_string failure))
+
+(* Occurrences of each (data, purpose, authorized) triple across streams.
+   A prefix's counts come from its store's cache, caught up to the store's
+   current length — the prefix length, since the tally is taken in the
+   same consolidation step that read it. *)
+let count_stream tally stream =
+  let add data purpose authorized n =
+    let key = (data, purpose, authorized) in
+    Hashtbl.replace tally key (n + Option.value (Hashtbl.find_opt tally key) ~default:0)
+  in
+  match stream with
+  | Prefix (store, _) -> Hdb.Audit_store.iter_patterns add store
+  | Delivered entries ->
+    List.iter
+      (fun (e : Hdb.Audit_schema.entry) ->
+        add e.Hdb.Audit_schema.data e.Hdb.Audit_schema.purpose e.Hdb.Audit_schema.authorized 1)
+      entries
+
+type view = {
+  health : Health.t;
+  pattern_counts : (Prima_core.Rule.t * int) list;
+  entries : Hdb.Audit_schema.entry list Lazy.t;
+}
 
 type result_t = {
   entries : Hdb.Audit_schema.entry list;
@@ -219,13 +263,18 @@ type result_t = {
    shard health, a pending site-WAL replay — rides on each health entry
    so downstream coverage stays a lower bound while anything durable is
    damaged. *)
-let consolidated_result t : result_t =
+let consolidated_view t : view =
   (* Consolidation observes the freshest overload signals, so the
      admission bar tracks the federation's actual health. *)
   refresh_pressure t;
+  let tally = Hashtbl.create 256 in
+  let keep stream h (streams, healths) =
+    count_stream tally stream;
+    (stream :: streams, h :: healths)
+  in
   let streams_rev, healths_rev =
     List.fold_left
-      (fun (streams, healths) m ->
+      (fun ((streams, healths) as acc) m ->
         let name = Site.name m.msite in
         let store_len = Site.length m.msite in
         let ingest_q = Site.quarantined_count m.msite in
@@ -264,7 +313,7 @@ let consolidated_result t : result_t =
                 ~status:(Health.Stale { archived; lag })
                 ~entries:archived ~quarantined:ingest_q ~skipped_entries:lag
             in
-            (Shard_store.merged_site a ~site:name :: streams, h :: healths)
+            keep (Delivered (Shard_store.merged_site a ~site:name)) h acc
           | _ ->
             let h =
               health ~status:skip_status ~entries:0 ~quarantined:ingest_q
@@ -276,33 +325,47 @@ let consolidated_result t : result_t =
           degrade ~skip_status:(Health.Skipped Health.Breaker_open)
         else
           match fetch_member t m with
-          | Ok (fetched, retries) ->
+          | Ok (stream, corrupted, retries) ->
             Breaker.record_success m.breaker;
             (* Latest fetch supersedes the site's transit quarantine. *)
             ignore (Quarantine.take_site t.transit ~site:name);
             List.iter
               (fun (seq, raw, reason) -> Quarantine.add t.transit ~site:name ~seq ~raw ~reason)
-              fetched.Fault.corrupted;
-            let corrupted = List.length fetched.Fault.corrupted in
-            let stream = sort_defensively fetched.Fault.delivered in
-            Option.iter
-              (fun a -> ignore (Shard_store.archive_site a ~site:name stream))
-              t.archive;
+              corrupted;
+            let corrupted = List.length corrupted in
+            let stream =
+              match t.archive with
+              | None -> stream
+              | Some a ->
+                let entries = stream_entries stream in
+                ignore (Shard_store.archive_site a ~site:name entries);
+                Delivered entries
+            in
             let h =
               health
                 ~status:(Health.Delivered { retries })
                 ~entries:(store_len - corrupted)
                 ~quarantined:(ingest_q + corrupted) ~skipped_entries:0
             in
-            (stream :: streams, h :: healths)
+            keep stream h acc
           | Error why ->
             Breaker.record_failure m.breaker ~now:!(t.clock);
             degrade ~skip_status:(Health.Skipped (Health.Fetch_failed why)))
       ([], []) t.members
   in
-  { entries = merge_streams (List.rev streams_rev);
-    health = Health.of_sites ~classes:(class_health_rows t) (List.rev healths_rev);
+  let streams = List.rev streams_rev in
+  { health = Health.of_sites ~classes:(class_health_rows t) (List.rev healths_rev);
+    pattern_counts =
+      Hashtbl.fold
+        (fun (data, purpose, authorized) n acc ->
+          (To_policy.pattern_rule ~data ~purpose ~authorized, n) :: acc)
+        tally [];
+    entries = lazy (merge_streams (List.map stream_entries streams));
   }
+
+let consolidated_result t : result_t =
+  let view = consolidated_view t in
+  { entries = Lazy.force view.entries; health = view.health }
 
 (* The consolidated view as P_AL. *)
 let to_policy t : Prima_core.Policy.t = To_policy.policy_of_entries (consolidated t)

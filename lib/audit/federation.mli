@@ -4,10 +4,12 @@
 
     Two consolidation paths coexist: {!consolidated} is the trusted direct
     view (in-process reads, cannot fail — also the fault-free baseline for
-    the fault-matrix suite), while {!consolidated_result} is the production
+    the fault-matrix suite), while {!consolidated_view} is the production
     path — breaker-gated, retried fetches through each site's fault wrapper,
     corrupted records quarantined, and a {!Health.t} report accounting for
-    100% of input records. *)
+    100% of input records — which yields per-triple pattern counts at once
+    and the merged entries only on demand ({!consolidated_result} forces
+    them). *)
 
 type t
 
@@ -88,19 +90,41 @@ val consolidated : t -> Hdb.Audit_schema.entry list
     in site order (stable and deterministic).  Out-of-order site logs are
     sorted defensively.  Direct in-process reads: never fails. *)
 
-type result_t = {
-  entries : Hdb.Audit_schema.entry list;
+type view = {
   health : Health.t;
+  pattern_counts : (Prima_core.Rule.t * int) list;
+      (** occurrences of each distinct (data, purpose, authorized) triple
+          among the delivered entries, as {!To_policy.pattern_rule}s *)
+  entries : Hdb.Audit_schema.entry list Lazy.t;
+      (** the delivered entries, merged as {!consolidated} merges them *)
 }
+(** One consolidation whose entries are not yet copied out.  A fault-free
+    member (no fault wrapper, no archive attached) contributes its store
+    and the store's length at consolidation: its counts come from the
+    store's cached pattern counts ({!Hdb.Audit_store.iter_patterns}), and
+    forcing [entries] reads exactly that prefix, so entries appended later
+    never leak into an old view.  Every other member contributes the list
+    it delivered — fetched, archived or served stale — and its counts are
+    built from that list. *)
 
-val consolidated_result : t -> result_t
+val consolidated_view : t -> view
 (** The production path: each site fetched through its fault wrapper (if
     any) under retry/backoff, gated by its circuit breaker; corrupted
     records quarantined.  Never raises — failures degrade the health report
     instead: delivered + quarantined + stranded = 100% of known input.
     With an archive attached, failed sites degrade to stale archive reads
     (see {!attach_archive}) and each health entry carries the site's
-    durable state (shard health, pending WAL replay). *)
+    durable state (shard health, pending WAL replay).  Over fault-free
+    members it costs O(sites + entries appended since the last
+    consolidation + distinct triples). *)
+
+type result_t = {
+  entries : Hdb.Audit_schema.entry list;
+  health : Health.t;
+}
+
+val consolidated_result : t -> result_t
+(** {!consolidated_view} with its entries forced. *)
 
 val to_policy : t -> Prima_core.Policy.t
 (** The consolidated view as P_AL. *)

@@ -6,12 +6,16 @@ let rule_of_entry (e : Hdb.Audit_schema.entry) : Prima_core.Rule.t =
   Prima_core.Rule.of_assoc (Hdb.Audit_schema.to_assoc e)
 
 (* Projection to the pattern attributes, as Figure 3(b) presents log rules. *)
-let pattern_rule_of_entry (e : Hdb.Audit_schema.entry) : Prima_core.Rule.t =
+let pattern_rule ~data ~purpose ~authorized : Prima_core.Rule.t =
   Prima_core.Rule.of_assoc
-    [ (Vocabulary.Audit_attrs.data, e.Hdb.Audit_schema.data);
-      (Vocabulary.Audit_attrs.purpose, e.Hdb.Audit_schema.purpose);
-      (Vocabulary.Audit_attrs.authorized, e.Hdb.Audit_schema.authorized);
+    [ (Vocabulary.Audit_attrs.data, data);
+      (Vocabulary.Audit_attrs.purpose, purpose);
+      (Vocabulary.Audit_attrs.authorized, authorized);
     ]
+
+let pattern_rule_of_entry (e : Hdb.Audit_schema.entry) : Prima_core.Rule.t =
+  pattern_rule ~data:e.Hdb.Audit_schema.data ~purpose:e.Hdb.Audit_schema.purpose
+    ~authorized:e.Hdb.Audit_schema.authorized
 
 let policy_of_entries entries : Prima_core.Policy.t =
   Prima_core.Policy.make ~source:Prima_core.Policy.Audit_log

@@ -4,6 +4,10 @@
 
 val rule_of_entry : Hdb.Audit_schema.entry -> Prima_core.Rule.t
 
+val pattern_rule : data:string -> purpose:string -> authorized:string -> Prima_core.Rule.t
+(** The rule over the pattern attributes (data, purpose, authorized) — equal
+    to the projection of {!rule_of_entry} of any entry carrying them. *)
+
 val pattern_rule_of_entry : Hdb.Audit_schema.entry -> Prima_core.Rule.t
 (** Projection to (data, purpose, authorized), as Figure 3(b) presents log
     rules. *)

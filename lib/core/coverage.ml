@@ -55,20 +55,36 @@ let compute ?(uncovered = true) vocab ~p_x ~p_y : stats =
     { overlap; denominator; coverage = ratio overlap denominator; uncovered = [] }
   end
 
-(* Bag semantics over P_y's rule sequence: each occurrence counts, as in the
-   Section 5 walkthrough.  A rule is covered when its whole ground set lies
-   in Range(P_x). *)
-let compute_bag vocab ~p_x ~p_y : stats =
+(* Bag semantics over P_y given as (rule, occurrences) pairs: the covered
+   occurrences out of all of them.  Repeated rules are merged first, so the
+   Range.covers test runs once per distinct rule however long the audit
+   history; the uncovered listing repeats each uncovered rule by its count,
+   in Rule.compare order. *)
+let compute_bag_counts vocab ~p_x counts : stats =
   let range_x = Range.of_policy vocab p_x in
-  let rules = Policy.rules p_y in
-  let covered, uncovered =
-    List.partition (fun rule -> Range.covers vocab range_x rule) rules
+  let merged = Rule.Tbl.create 64 in
+  List.iter
+    (fun (rule, n) ->
+      let seen = Option.value (Rule.Tbl.find_opt merged rule) ~default:0 in
+      Rule.Tbl.replace merged rule (seen + n))
+    counts;
+  let overlap, denominator, uncov =
+    Rule.Tbl.fold
+      (fun rule n (overlap, denominator, uncov) ->
+        if Range.covers vocab range_x rule then (overlap + n, denominator + n, uncov)
+        else (overlap, denominator + n, (rule, n) :: uncov))
+      merged (0, 0, [])
   in
-  { overlap = List.length covered;
-    denominator = List.length rules;
-    coverage = ratio (List.length covered) (List.length rules);
-    uncovered;
-  }
+  let uncovered =
+    List.sort (fun (a, _) (b, _) -> Rule.compare a b) uncov
+    |> List.concat_map (fun (rule, n) -> List.init n (fun _ -> rule))
+  in
+  { overlap; denominator; coverage = ratio overlap denominator; uncovered }
+
+(* Bag semantics over P_y's rule sequence, as in the Section 5 walkthrough:
+   every occurrence counts once. *)
+let compute_bag vocab ~p_x ~p_y : stats =
+  compute_bag_counts vocab ~p_x (List.map (fun rule -> (rule, 1)) (Policy.rules p_y))
 
 (* Project both policies onto the attributes they share with the
    vocabulary's pattern dimensions before comparing. *)
@@ -95,7 +111,9 @@ let pp_stats ppf s =
    missing. *)
 type qualifier =
   | Exact
-  | Lower_bound of float (* completeness of the audit window, in [0, 1) *)
+  | Lower_bound of float
+      (* completeness of the audit window, in [0, 1]; 1.0 when the window
+         is complete yet the reading cannot claim exactness *)
 
 type qualified = {
   stats : stats;

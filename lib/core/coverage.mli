@@ -26,9 +26,17 @@ val compute : ?uncovered:bool -> Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Polic
     ({!Range.cardinality_of_rules}) — the fast path for monitoring loops
     that only read the ratio. *)
 
+val compute_bag_counts : Vocabulary.Vocab.t -> p_x:Policy.t -> (Rule.t * int) list -> stats
+(** Bag semantics over P_y given as (rule, occurrences) pairs, counts
+    positive: [overlap] is the sum of the counts of the rules whose whole
+    ground set lies in Range(P_x), [denominator] the sum of all counts.
+    Pairs naming the same rule are merged, so the cover test runs once per
+    distinct rule.  [uncovered] repeats each uncovered rule by its count,
+    in {!Rule.compare} order. *)
+
 val compute_bag : Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> stats
-(** Bag semantics over P_y's rule sequence: a rule occurrence is covered
-    when its whole ground set lies in Range(P_x). *)
+(** Bag semantics over P_y's rule sequence: {!compute_bag_counts} with every
+    rule occurrence counted once. *)
 
 val aligned :
   ?bag:bool ->
@@ -51,7 +59,11 @@ val pp_stats : Format.formatter -> stats -> unit
 type qualifier =
   | Exact
   | Lower_bound of float
-      (** the completeness fraction of the audit window, in [0, 1) *)
+      (** the completeness fraction of the audit window, in [0, 1].  It is
+          1.0 when the window is complete but the reading still cannot
+          claim exactness: {!qualify} with [~verified:false] over a
+          complete window (a suspect trail), or a refinement epoch run
+          browned out under admission control. *)
 
 type qualified = {
   stats : stats;

@@ -7,16 +7,25 @@
 type t = {
   mutable vocab : Vocabulary.Vocab.t;
   mutable p_ps : Policy.t;
-  mutable p_al : Policy.t;
+  (* P_AL is forced only by refinement, trends and direct inspection;
+     coverage reads [tally], the occurrences of each rule of P_AL projected
+     onto the pattern attributes, and [in_training] reads [p_al_size]. *)
+  mutable p_al : Policy.t Lazy.t;
+  mutable tally : int Rule.Tbl.t;
+  mutable p_al_size : int;
   mutable training_minimum : int; (* entries required before refinement *)
   mutable refinement_config : Refinement.config;
   mutable history : Refinement.epoch_report list; (* newest first *)
 }
 
+let empty_audit = Policy.make ~source:Policy.Audit_log []
+
 let create ?(training_minimum = 0) ?(config = Refinement.default_config) ~vocab ~p_ps () =
   { vocab;
     p_ps;
-    p_al = Policy.make ~source:Policy.Audit_log [];
+    p_al = Lazy.from_val empty_audit;
+    tally = Rule.Tbl.create 64;
+    p_al_size = 0;
     training_minimum;
     refinement_config = config;
     history = [];
@@ -31,16 +40,35 @@ let vocab t = t.vocab
 let set_vocab t vocab = t.vocab <- vocab
 
 let policy_store t = t.p_ps
-let audit_policy t = t.p_al
+let audit_policy t = Lazy.force t.p_al
 let history t = List.rev t.history
 
 let set_training_minimum t n = t.training_minimum <- n
 let refinement_config t = t.refinement_config
 let set_refinement_config t config = t.refinement_config <- config
 
-let ingest_rule t rule = t.p_al <- Policy.add_rule t.p_al rule
+let pattern_attrs = Vocabulary.Audit_attrs.pattern
 
-let ingest_rules t rules = t.p_al <- Policy.add_rules t.p_al rules
+let add_count tally rule n =
+  let seen = Option.value (Rule.Tbl.find_opt tally rule) ~default:0 in
+  Rule.Tbl.replace tally rule (seen + n)
+
+let ingest_rules t rules =
+  t.p_al <- Lazy.from_val (Policy.add_rules (audit_policy t) rules);
+  List.iter
+    (fun rule ->
+      Option.iter (fun p -> add_count t.tally p 1) (Rule.project rule ~attrs:pattern_attrs))
+    rules;
+  t.p_al_size <- t.p_al_size + List.length rules
+
+let ingest_rule t rule = ingest_rules t [ rule ]
+
+let set_audit t ~tally p_al =
+  let table = Rule.Tbl.create 64 in
+  List.iter (fun (rule, n) -> add_count table rule n) tally;
+  t.p_al <- p_al;
+  t.tally <- table;
+  t.p_al_size <- List.fold_left (fun acc (_, n) -> acc + n) 0 tally
 
 let add_store_rule t rule = t.p_ps <- Policy.add_rule t.p_ps rule
 
@@ -50,14 +78,16 @@ type coverage_report = {
   bag_semantics : Coverage.stats; (* Section 5 accounting *)
 }
 
+(* Coverage.aligned's readings, computed from the tally: set semantics over
+   the distinct projected rules, bag semantics weighted by their counts. *)
 let coverage t =
-  let attrs = Vocabulary.Audit_attrs.pattern in
-  { set_semantics =
-      Coverage.aligned ~bag:false t.vocab ~attrs ~p_x:t.p_ps ~p_y:t.p_al;
-    bag_semantics = Coverage.aligned ~bag:true t.vocab ~attrs ~p_x:t.p_ps ~p_y:t.p_al;
+  let p_x = Policy.project t.p_ps ~attrs:pattern_attrs in
+  let counts = Rule.Tbl.fold (fun rule n acc -> (rule, n) :: acc) t.tally [] in
+  { set_semantics = Coverage.compute t.vocab ~p_x ~p_y:(Policy.make (List.map fst counts));
+    bag_semantics = Coverage.compute_bag_counts t.vocab ~p_x counts;
   }
 
-let in_training t = Policy.cardinality t.p_al < t.training_minimum
+let in_training t = t.p_al_size < t.training_minimum
 
 (* Run one refinement pass over everything collected so far; the accepted
    patterns extend the policy store in place.  [Error] while the training
@@ -68,11 +98,11 @@ let refine ?(completeness = 1.0) ?(verified = true) t :
   if in_training t then
     Error
       (Printf.sprintf "training period: %d/%d audit entries collected"
-         (Policy.cardinality t.p_al) t.training_minimum)
+         t.p_al_size t.training_minimum)
   else begin
     let report =
       Refinement.run_epoch ~config:t.refinement_config ~completeness ~verified
-        ~vocab:t.vocab ~p_ps:t.p_ps ~p_al:t.p_al ()
+        ~vocab:t.vocab ~p_ps:t.p_ps ~p_al:(audit_policy t) ()
     in
     t.p_ps <- report.Refinement.p_ps';
     t.history <- report :: t.history;
@@ -80,4 +110,4 @@ let refine ?(completeness = 1.0) ?(verified = true) t :
   end
 
 (* Drop consumed audit entries (e.g. after an epoch over a sliding window). *)
-let reset_audit t = t.p_al <- Policy.make ~source:Policy.Audit_log []
+let reset_audit t = set_audit t ~tally:[] (Lazy.from_val empty_audit)

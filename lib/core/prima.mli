@@ -27,7 +27,10 @@ val set_vocab : t -> Vocabulary.Vocab.t -> unit
     policies. *)
 
 val policy_store : t -> Policy.t
+
 val audit_policy : t -> Policy.t
+(** P_AL, forcing it if {!set_audit} left it unevaluated.  Coverage never
+    forces it; refinement does. *)
 
 val history : t -> Refinement.epoch_report list
 (** All completed refinement runs, oldest first. *)
@@ -37,9 +40,19 @@ val refinement_config : t -> Refinement.config
 val set_refinement_config : t -> Refinement.config -> unit
 
 val ingest_rule : t -> Rule.t -> unit
-(** Append one audit rule to P_AL. *)
+(** Append one audit rule to P_AL (forcing it) and count its projection
+    onto the pattern attributes. *)
 
 val ingest_rules : t -> Rule.t list -> unit
+
+val set_audit : t -> tally:(Rule.t * int) list -> Policy.t Lazy.t -> unit
+(** Replace P_AL with a lazily built policy, together with its tally: the
+    occurrences of each of its rules projected onto the pattern attributes
+    (repeated rules add up).  The caller guarantees that the tally is
+    exactly that projection and that every rule of P_AL carries a pattern
+    attribute — true of rules built from audit entries — so the tally's
+    total is #P_AL.  {!coverage} then costs O(distinct rules), and the
+    policy is forced only by refinement or {!audit_policy}. *)
 
 val add_store_rule : t -> Rule.t -> unit
 (** Stakeholder-driven extension of P_PS. *)
@@ -50,7 +63,11 @@ type coverage_report = {
 }
 
 val coverage : t -> coverage_report
-(** Both coverage readings, over the pattern attributes. *)
+(** Both coverage readings over the pattern attributes — the readings of
+    {!Coverage.aligned} on P_PS and P_AL — computed from the tally of
+    projected P_AL rules: {!Coverage.compute} over the distinct ones and
+    {!Coverage.compute_bag_counts} over their counts, so the bag
+    [uncovered] listing is in {!Rule.compare} order. *)
 
 val in_training : t -> bool
 

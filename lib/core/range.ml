@@ -12,12 +12,7 @@
    [Range_reference] preserves the seed implementation; the parity
    property suite asserts both agree exactly. *)
 
-module Rule_tbl = Hashtbl.Make (struct
-  type t = Rule.t
-
-  let equal = Rule.equal
-  let hash = Rule.hash
-end)
+module Rule_tbl = Rule.Tbl
 
 type t = unit Rule_tbl.t
 

@@ -46,6 +46,13 @@ let equal a b =
 
 let equal_syntactic = equal
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash t = t.hash
+end)
+
 let find_attr t attr =
   List.find_opt (fun term -> String.equal (Rule_term.attr term) attr) t.terms
   |> Option.map Rule_term.value

@@ -32,6 +32,9 @@ val equal_syntactic : t -> t -> bool
 val hash : t -> int
 (** Precomputed structural hash, O(1).  Consistent with {!equal}. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by rules, on {!hash} and {!equal}. *)
+
 val find_attr : t -> string -> string option
 (** The value this rule assigns to [attr], if any. *)
 

@@ -105,6 +105,12 @@ type t = {
   ops : bitvec;
   statuses : bitvec;
   provenances : prov_vec;
+  (* Occurrences of each (data, purpose, authorized) code triple among rows
+     [0, counted).  The columns are append-only, so the counts are only
+     ever extended: [iter_patterns] catches them up over the rows appended
+     since the last call, and [append] never touches them. *)
+  patterns : (int * int * int, int ref) Hashtbl.t;
+  mutable counted : int;
   (* Write-ahead durability (optional): every append is framed into the
      log before touching the columns, so after a crash the recovered WAL
      prefix is always a prefix of what this store held. *)
@@ -124,6 +130,8 @@ let create () =
     ops = bitvec_create ();
     statuses = bitvec_create ();
     provenances = prov_create ();
+    patterns = Hashtbl.create 64;
+    counted = 0;
     log = None;
   }
 
@@ -169,7 +177,24 @@ let fold f init t =
   iter (fun e -> acc := f !acc e) t;
   !acc
 
-let to_list t = List.rev (fold (fun acc e -> e :: acc) [] t)
+let prefix t n =
+  if n < 0 || n > length t then invalid_arg "Audit_store.prefix: length out of bounds";
+  let rec build i acc = if i < 0 then acc else build (i - 1) (get t i :: acc) in
+  build (n - 1) []
+
+let to_list t = prefix t (length t)
+
+let iter_patterns f t =
+  for i = t.counted to length t - 1 do
+    let key = (t.data_ids.data.(i), t.purpose_ids.data.(i), t.authorized_ids.data.(i)) in
+    match Hashtbl.find_opt t.patterns key with
+    | Some n -> incr n
+    | None -> Hashtbl.add t.patterns key (ref 1)
+  done;
+  t.counted <- length t;
+  Hashtbl.iter
+    (fun (d, p, a) n -> f (dict_get t.datas d) (dict_get t.purposes p) (dict_get t.authorizeds a) !n)
+    t.patterns
 
 let append_all t entries = List.iter (append t) entries
 

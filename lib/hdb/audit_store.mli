@@ -18,6 +18,21 @@ val get : t -> int -> Audit_schema.entry
 val iter : (Audit_schema.entry -> unit) -> t -> unit
 val fold : ('acc -> Audit_schema.entry -> 'acc) -> 'acc -> t -> 'acc
 val to_list : t -> Audit_schema.entry list
+
+val prefix : t -> int -> Audit_schema.entry list
+(** [prefix t n]: the first [n] entries in append order.  The store is
+    append-only, so a prefix never changes once it exists — a length read
+    earlier names the same entries later.
+    @raise Invalid_argument unless [0 <= n <= length t]. *)
+
+val iter_patterns : (string -> string -> string -> int -> unit) -> t -> unit
+(** [iter_patterns f t] calls [f data purpose authorized n] once per
+    distinct (data, purpose, authorized) triple, [n] being its occurrences
+    among all [length t] entries, in unspecified order.  The counts are
+    cached per dictionary-code triple behind a watermark: each call first
+    catches them up over the entries appended since the previous call, so
+    a call costs O(new entries + distinct triples), not O(length). *)
+
 val append_all : t -> Audit_schema.entry list -> unit
 val of_entries : Audit_schema.entry list -> t
 

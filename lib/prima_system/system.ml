@@ -273,17 +273,20 @@ let set_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:64 ()) 
     List.iter (fun site -> clear (Audit_mgmt.Site.wal site)) sites
   end
 
-(* Pull the fault-aware consolidated view into the refinement component's
-   P_AL; the health report of this consolidation is retained and its
-   completeness qualifies everything computed from the window. *)
+(* Pull the fault-aware consolidated view into the refinement component:
+   its pattern counts become P_AL's tally at once, P_AL itself only when
+   refinement or a trend forces it.  The health report of this
+   consolidation is retained and its completeness qualifies everything
+   computed from the window. *)
 let sync_audit t =
-  let result = Audit_mgmt.Federation.consolidated_result t.federation in
-  t.last_health <- Some result.Audit_mgmt.Federation.health;
-  Prima_core.Prima.reset_audit t.prima;
-  Prima_core.Prima.ingest_rules t.prima
-    (Prima_core.Policy.rules
-       (Audit_mgmt.To_policy.policy_of_entries result.Audit_mgmt.Federation.entries));
-  result.Audit_mgmt.Federation.health
+  let view = Audit_mgmt.Federation.consolidated_view t.federation in
+  let health = view.Audit_mgmt.Federation.health in
+  t.last_health <- Some health;
+  Prima_core.Prima.set_audit t.prima ~tally:view.Audit_mgmt.Federation.pattern_counts
+    (lazy
+      (Audit_mgmt.To_policy.policy_of_entries
+         (Lazy.force view.Audit_mgmt.Federation.entries)));
+  health
 
 let completeness t =
   match t.last_health with
@@ -452,10 +455,16 @@ let enforce_admitted ?(cost = Admission.cost ~rows:64 ~ticks:4096 ()) ?break_gla
         | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
       in
       let budget = Relational.Budget.create ~mode:grant.Admission.g_mode limits in
+      (* Settle on every exit: a strict grant that fires raises
+         [Budget_exceeded] out of the query, and the work done up to that
+         point is still charged to the class. *)
       let result =
-        Hdb.Control_center.query ?break_glass ~budget t.control ~user ~role ~purpose sql
+        Fun.protect
+          ~finally:(fun () ->
+            Admission.settle adm ~now principal ~declared:cost (Relational.Budget.stats budget))
+          (fun () ->
+            Hdb.Control_center.query ?break_glass ~budget t.control ~user ~role ~purpose sql)
       in
-      Admission.settle adm ~now principal ~declared:cost (Relational.Budget.stats budget);
       (match result with
       | Ok outcome ->
         Ok { outcome; admitted_class = grant.Admission.g_class; browned_out }
@@ -486,8 +495,9 @@ let refine_admitted ?(cost = Admission.cost ~rows:256 ~ticks:65536 ()) t ~princi
         | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
       in
       set_query_limits t (Some limits);
-      let result = refine t in
-      set_query_limits t saved;
+      let result =
+        Fun.protect ~finally:(fun () -> set_query_limits t saved) (fun () -> refine t)
+      in
       (match result with
       | Error _ as e -> e
       | Ok report ->

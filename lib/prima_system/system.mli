@@ -187,7 +187,11 @@ val set_auto_checkpoint : ?policy:Durable.Log.checkpoint_policy -> t -> bool -> 
 
 val sync_audit : t -> Audit_mgmt.Health.t
 (** Pull the fault-aware consolidated view into the refinement component's
-    P_AL; returns (and retains) the consolidation's health report. *)
+    P_AL; returns (and retains) the consolidation's health report.  Only
+    the view's pattern counts are taken eagerly (see
+    {!Prima_core.Prima.set_audit}); P_AL itself is built from the view's
+    snapshot when {!trend}, {!refine} or
+    {!Prima_core.Prima.audit_policy} first needs it. *)
 
 val coverage : t -> Prima_core.Prima.coverage_report
 (** Syncs, then reports both coverage readings (unqualified). *)
@@ -200,7 +204,9 @@ type qualified_coverage = {
 
 val coverage_qualified : t -> qualified_coverage
 (** Syncs, then reports both coverage readings labelled [Exact] or
-    [Lower_bound] by the consolidation's completeness. *)
+    [Lower_bound] by the consolidation's completeness.  Never builds P_AL:
+    over fault-free sites a reading costs O(sites + entries appended since
+    the last reading + distinct pattern triples). *)
 
 val install_pattern : t -> Prima_core.Rule.t -> unit
 (** Install a pattern as an enforcement permit rule (no-op for rules
@@ -270,7 +276,13 @@ val enforce_admitted :
 (** An enforcement query through the admission gate.  The grant's limits
     compose tightest-wins with the standing {!query_limits}; actual
     consumption settles back against the class.  [cost] defaults to a
-    64-row, 4096-tick declaration. *)
+    64-row, 4096-tick declaration.
+
+    A strict grant that fires mid-query is not turned into an [Error]: the
+    query's {!Relational.Errors.Budget_exceeded} propagates to the caller,
+    as it does from an ungated {!Hdb.Control_center.query} under limits.
+    The class is settled before it propagates, so the work consumed up to
+    the trip is still charged. *)
 
 val refine_admitted :
   ?cost:Audit_mgmt.Admission.cost ->
@@ -280,4 +292,7 @@ val refine_admitted :
 (** {!refine} through the admission gate.  A shed epoch returns the typed
     rejection message; a brownout epoch runs under the tightened grant
     and always reports {!Prima_core.Coverage.Lower_bound} — the run was
-    deliberately truncated, so its readings never claim exactness. *)
+    deliberately truncated, so its readings never claim exactness.  The
+    grant's limits are in force only for the epoch: {!query_limits} is
+    restored on every exit, including an exception raised inside it (e.g.
+    a malformed {!Prima_core.Data_analysis.config} condition). *)

@@ -322,6 +322,58 @@ let test_enforce_admitted_shed_and_exact () =
   let gov = Prima_system.System.governance system in
   check_int "shed counted" 1 gov.Prima_system.System.shed_requests
 
+(* A strict grant that fires mid-query escapes as [Budget_exceeded]; the
+   class must still be charged the work consumed up to the trip.  The
+   class meters tuples only: the declared cost asks for none, so the only
+   debit is settlement's, and a probe sized between the full and the
+   settled bucket tells the two apart. *)
+let test_enforce_admitted_settles_on_budget_trip () =
+  let system = make_system () in
+  let control = Prima_system.System.control system in
+  ignore
+    (Hdb.Control_center.admin_exec control
+       ("INSERT INTO records VALUES "
+       ^ String.concat ", " (List.init 198 (fun i -> Printf.sprintf "('q%d', 'r%d')" i i))));
+  Prima_system.System.set_budget_classes system
+    [ ("metered", Adm.(class_config ~tuples:(quota ~capacity:1000 ~refill_per_s:0 ()) ())) ];
+  Prima_system.System.assign_tenant system ~tenant:"clerk" ~class_name:"metered";
+  let principal = Adm.principal ~tenant:"clerk" () in
+  (match
+     Prima_system.System.enforce_admitted system ~principal ~user:"nancy" ~role:"nurse"
+       ~purpose:"treatment" "SELECT referral FROM records"
+   with
+  | _ -> Alcotest.fail "a 200-row scan under the 64-row declaration must trip"
+  | exception Relational.Errors.Budget_exceeded (Relational.Errors.Rows, stats) ->
+    check_bool "tuples were consumed before the trip" true
+      (stats.Relational.Errors.tuples >= 65));
+  let adm = Option.get (Prima_system.System.admission system) in
+  check_bool "the class was debited: 900 tuples no longer fit" true
+    (is_rejected (Adm.admit adm ~now:0 ~kind:Adm.Mutation principal (Adm.cost ~tuples:900 ())))
+
+(* An exception inside the admitted epoch must not leave the grant's
+   tightened limits in force on every later query. *)
+let test_refine_admitted_restores_limits () =
+  let system = make_system () in
+  let config = Prima_system.System.query_limits system in
+  let refinement = Prima_core.Prima.refinement_config (Prima_system.System.prima system) in
+  Prima_core.Prima.set_refinement_config (Prima_system.System.prima system)
+    { refinement with
+      Prima_core.Refinement.backend =
+        Prima_core.Extract_patterns.Sql
+          { Prima_core.Data_analysis.default_config with
+            Prima_core.Data_analysis.condition = Some "COUNT(( >" };
+    };
+  Prima_system.System.set_budget_classes system
+    [ ("gold", rows_class ~cap:4096 ~rate:4096 ()) ];
+  Prima_system.System.assign_tenant system ~tenant:"analyst" ~class_name:"gold";
+  (match
+     Prima_system.System.refine_admitted system ~principal:(Adm.principal ~tenant:"analyst" ())
+   with
+  | _ -> Alcotest.fail "a malformed HAVING condition must raise"
+  | exception Relational.Errors.Parse_error _ -> ());
+  check_bool "standing limits restored" true
+    (Prima_system.System.query_limits system = config)
+
 let () =
   Alcotest.run "admission"
     [ ( "refill-boundary",
@@ -355,5 +407,9 @@ let () =
             test_refine_admitted_brownout_lower_bound;
           Alcotest.test_case "enforce shed and exact" `Quick
             test_enforce_admitted_shed_and_exact;
+          Alcotest.test_case "enforce settles on a budget trip" `Quick
+            test_enforce_admitted_settles_on_budget_trip;
+          Alcotest.test_case "refine restores limits on raise" `Quick
+            test_refine_admitted_restores_limits;
         ] );
     ]

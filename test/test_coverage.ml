@@ -113,6 +113,14 @@ let test_uncovered_listed () =
   let stats = C.aligned ~bag:true vocab ~attrs ~p_x:(S.policy_store ()) ~p_y:y in
   check_int "seven uncovered entries" 7 (List.length stats.C.uncovered)
 
+(* Lower_bound's range is [0, 1]: a complete window over a suspect trail
+   is a lower bound at completeness 1.0, never Exact. *)
+let test_lower_bound_at_full_completeness () =
+  let stats = C.compute vocab ~p_x:(S.policy_store ()) ~p_y:(S.policy_store ()) in
+  match (C.qualify ~verified:false ~completeness:1.0 stats).C.qualifier with
+  | C.Lower_bound c -> check_float "completeness 1.0" 1.0 c
+  | C.Exact -> Alcotest.fail "an unverified trail must not read Exact"
+
 let () =
   Alcotest.run "coverage"
     [ ( "paper-numbers",
@@ -130,5 +138,7 @@ let () =
           Alcotest.test_case "bag composite rules" `Quick test_bag_counts_composite_rules;
           Alcotest.test_case "monotone in P_x" `Quick test_monotone_in_x;
           Alcotest.test_case "uncovered listed" `Quick test_uncovered_listed;
+          Alcotest.test_case "lower bound at completeness 1.0" `Quick
+            test_lower_bound_at_full_completeness;
         ] );
     ]

@@ -92,7 +92,8 @@ let ref_bag_stats vocab ~p_x ~p_y : C.stats =
     denominator;
     coverage =
       (if denominator = 0 then 1.0 else float_of_int overlap /. float_of_int denominator);
-    uncovered;
+    (* the bag listing is the uncovered multiset in Rule.compare order *)
+    uncovered = List.stable_sort R.compare uncovered;
   }
 
 let assert_parity prng vocab =
