@@ -1,10 +1,15 @@
-.PHONY: build test faults crash fuzz chaos shrink tamper federation overload bench bench-quick bench-coverage bench-wal bench-governor perfbench perfbench-trace
+.PHONY: build test check faults crash fuzz chaos shrink tamper federation overload bench bench-quick bench-coverage bench-wal bench-governor perfbench perfbench-trace
 
 build:
 	dune build
 
 test:
 	dune build && dune runtest
+
+# Everything a rewrite must keep green: tier-1 (build + runtest), then the
+# fault-matrix, crash-point, SQL-fuzz, chaos, tamper and overload suites,
+# in that order.  Stops at the first failure.
+check: test faults crash fuzz chaos tamper overload
 
 # Fault-matrix suite: deterministic fault injection across the 3 fixed
 # seeds baked into test/test_faults.ml (101, 202, 303) — accounting

@@ -317,15 +317,12 @@ let e7 () =
   Fmt.pr "practice entries: %d@.@." (P.cardinality practice);
   let module EP = Prima_core.Extract_patterns in
   let sorted ps = List.sort String.compare (List.map (R.to_compact_string ~attrs) ps) in
-  let sql_patterns, t_sql = time_it (fun () -> EP.run practice) in
-  let apriori, t_ap =
-    time_it (fun () -> EP.run ~backend:(EP.Mining EP.default_mining) practice)
-  in
+  let patterns ?backend () = (EP.run ?backend practice).Prima_core.Data_analysis.patterns in
+  let sql_patterns, t_sql = time_it (fun () -> patterns ()) in
+  let apriori, t_ap = time_it (fun () -> patterns ~backend:(EP.Mining EP.default_mining) ()) in
   let fp, t_fp =
     time_it (fun () ->
-        EP.run
-          ~backend:(EP.Mining { EP.default_mining with EP.algorithm = `Fp_growth })
-          practice)
+        patterns ~backend:(EP.Mining { EP.default_mining with EP.algorithm = `Fp_growth }) ())
   in
   Fmt.pr "%-14s %-10s %-12s@." "backend" "patterns" "time (ms)";
   Fmt.pr "%-14s %-10d %-12.2f@." "sql" (List.length sql_patterns) (1000. *. t_sql);
@@ -874,9 +871,9 @@ let e13 () =
      truncated (lower-bound) pattern set instead of failing. *)
   let p_al = synthetic_policy hospital 4000 in
   let practice = Prima_core.Filter.run p_al in
-  let exact = DA.analyse practice in
+  let exact = (DA.analyse practice).DA.patterns in
   let starved =
-    DA.analyse_governed ~limits:(B.limits ~tuples:(P.cardinality practice + 100) ()) practice
+    DA.analyse ~limits:(B.limits ~tuples:(P.cardinality practice + 100) ()) practice
   in
   Fmt.pr "@.Degradation under a starved budget (4000-access trail):@.";
   Fmt.pr "exact patterns    : %d@." (List.length exact);

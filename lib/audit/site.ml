@@ -319,27 +319,17 @@ let set_admission t admission = t.admission <- admission
 
 let admission t = t.admission
 
-let admission_gate t ~now ~principal ~batch_rows =
-  match t.admission with
-  | None -> Ok ()
-  | Some adm -> (
-      let cost = Admission.cost ~rows:batch_rows () in
-      match Admission.admit adm ~now ~kind:Admission.Mutation principal cost with
-      | Admission.Admitted _ -> Ok ()
-      | Admission.Brownout _ -> assert false (* mutations are never browned out *)
-      | Admission.Rejected r -> Error r)
-
 let ingest_entries_admitted t ~now ~principal entries =
-  match admission_gate t ~now ~principal ~batch_rows:(List.length entries) with
-  | Error _ as e -> e
-  | Ok () ->
+  let n = List.length entries in
+  let decide adm =
+    Admission.admit adm ~now ~kind:Admission.Mutation principal (Admission.cost ~rows:n ())
+  in
+  match Option.map decide t.admission with
+  | Some (Admission.Rejected r) -> Error r
+  | Some (Admission.Brownout _) -> assert false (* mutations are never browned out *)
+  | Some (Admission.Admitted _) | None ->
       ingest_entries t entries;
-      Ok (List.length entries)
-
-let ingest_raw_batch_admitted ?first_seq t ~now ~principal raws =
-  match admission_gate t ~now ~principal ~batch_rows:(List.length raws) with
-  | Error _ as e -> e
-  | Ok () -> Ok (ingest_raw_batch ?first_seq t raws)
+      Ok n
 
 (* Push the site's quarantined records back through the (possibly fixed)
    mapping; records that still fail return to quarantine.  Original seqs are

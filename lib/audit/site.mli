@@ -79,13 +79,6 @@ val ingest_entries_admitted :
 (** All-or-nothing: [Ok n] ingested the whole batch of [n] entries;
     [Error r] shed it whole. *)
 
-val ingest_raw_batch_admitted :
-  ?first_seq:int -> t -> now:int -> principal:Admission.principal ->
-  (string * string) list list ->
-  (ingest_summary, Admission.rejection) result
-(** {!ingest_raw_batch} behind the gate; the whole batch (including
-    records that would quarantine or dedupe) is costed as rows. *)
-
 val reprocess_quarantined : t -> ingest_summary
 (** Push quarantined records back through the (possibly fixed) mapping;
     records that still fail return to quarantine.  Original seqs are kept,

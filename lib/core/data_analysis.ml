@@ -87,20 +87,6 @@ let run ?budget engine ~table_name config : Rule.t list =
            config.attributes))
     result.Relational.Executor.rows
 
-(* One-call variant: load the practice policy into a fresh engine and
-   analyse it there. *)
-let analyse ?(config = default_config) ?budget (practice : Policy.t) : Rule.t list =
-  (* An empty practice materialises as a zero-column table the GROUP BY
-     cannot reference — and no pattern can meet a positive frequency
-     threshold anyway (found by the chaos harness: refining over a window
-     whose only site was down). *)
-  if Policy.cardinality practice = 0 then []
-  else
-  let engine = Relational.Engine.create () in
-  let table_name = "practice" in
-  let _ = materialize engine ~table_name practice in
-  run ?budget engine ~table_name config
-
 (* --- governed execution --- *)
 
 type governed = {
@@ -112,31 +98,41 @@ type governed = {
 let exact patterns =
   { patterns; degraded = false; stats = { Relational.Errors.rows_out = 0; tuples = 0; ticks = 0 } }
 
-(* Budgeted Algorithm 5 with graceful degradation: try the query under a
-   strict budget; if a quota fires, retry the same limits in partial mode.
-   The partial run computes the groups over a prefix of the practice table,
-   so the returned pattern set is a *lower bound* on the real one —
-   [degraded] tells the caller to qualify anything derived from it
-   ([Coverage.Lower_bound] in the refinement loop).  Cancellation is not a
-   degradation: [Errors.Cancelled] propagates from either attempt. *)
-let run_governed ?cancel engine ~table_name ~limits config : governed =
-  let budget = Relational.Budget.create ?cancel limits in
-  match run ~budget engine ~table_name config with
-  | patterns ->
-    { patterns; degraded = false; stats = Relational.Budget.stats budget }
-  | exception Relational.Errors.Budget_exceeded _ ->
-    let budget = Relational.Budget.create ~mode:Relational.Budget.Partial ?cancel limits in
-    let patterns = run ~budget engine ~table_name config in
-    { patterns;
-      degraded = Relational.Budget.truncated budget;
-      stats = Relational.Budget.stats budget;
-    }
+let add_usage (a : Relational.Errors.budget_stats) (b : Relational.Errors.budget_stats) =
+  { Relational.Errors.rows_out = a.rows_out + b.rows_out;
+    tuples = a.tuples + b.tuples;
+    ticks = a.ticks + b.ticks;
+  }
 
-let analyse_governed ?(config = default_config) ?cancel ~limits (practice : Policy.t) :
-    governed =
+(* Algorithm 5 in one call: load the practice policy into a fresh engine
+   and analyse it there.  Without [limits] the run is ungoverned and exact.
+   With [limits] it degrades gracefully: try the query under a strict
+   budget; if a quota fires, retry the same limits in partial mode.  The
+   partial run computes the groups over a prefix of the practice table, so
+   the returned pattern set is a *lower bound* on the real one —
+   [degraded] tells the caller to qualify anything derived from it
+   ([Coverage.Lower_bound] in the refinement loop).  Both attempts did
+   work, so the reported usage is their sum. *)
+let analyse ?(config = default_config) ?limits (practice : Policy.t) : governed =
+  (* An empty practice materialises as a zero-column table the GROUP BY
+     cannot reference — and no pattern can meet a positive frequency
+     threshold anyway (found by the chaos harness: refining over a window
+     whose only site was down). *)
   if Policy.cardinality practice = 0 then exact []
   else
   let engine = Relational.Engine.create () in
   let table_name = "practice" in
   let _ = materialize engine ~table_name practice in
-  run_governed ?cancel engine ~table_name ~limits config
+  match limits with
+  | None -> exact (run engine ~table_name config)
+  | Some limits -> (
+    let budget = Relational.Budget.create limits in
+    match run ~budget engine ~table_name config with
+    | patterns -> { patterns; degraded = false; stats = Relational.Budget.stats budget }
+    | exception Relational.Errors.Budget_exceeded (_, strict) ->
+      let budget = Relational.Budget.create ~mode:Relational.Budget.Partial limits in
+      let patterns = run ~budget engine ~table_name config in
+      { patterns;
+        degraded = Relational.Budget.truncated budget;
+        stats = add_usage strict (Relational.Budget.stats budget);
+      })

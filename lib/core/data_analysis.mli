@@ -37,9 +37,6 @@ val run :
     [config.attributes].  [budget] governs the query (see
     {!Relational.Budget}); omitted, execution is ungoverned. *)
 
-val analyse : ?config:config -> ?budget:Relational.Budget.t -> Policy.t -> Rule.t list
-(** One-call variant: materialise into a fresh engine and run there. *)
-
 (** {1 Governed execution with graceful degradation} *)
 
 type governed = {
@@ -47,28 +44,17 @@ type governed = {
   degraded : bool;
       (** the strict run exceeded its budget and the patterns were computed
           over a prefix of the practice table — a lower bound *)
-  stats : Relational.Errors.budget_stats;  (** resources the run consumed *)
+  stats : Relational.Errors.budget_stats;
+      (** resources the run consumed: after a degraded run, the strict
+          attempt's usage up to the trip plus the partial retry's *)
 }
 
 val exact : Rule.t list -> governed
 (** Wraps an ungoverned result: [degraded = false], zero stats. *)
 
-val run_governed :
-  ?cancel:Relational.Budget.cancel ->
-  Relational.Engine.t ->
-  table_name:string ->
-  limits:Relational.Budget.limits ->
-  config ->
-  governed
-(** Budgeted Algorithm 5: strict attempt first; when a quota fires, the
-    same limits are retried in partial mode and the truncated pattern set
-    is returned with [degraded = true].  Cancellation propagates as
-    {!Relational.Errors.Cancelled} from either attempt. *)
-
-val analyse_governed :
-  ?config:config ->
-  ?cancel:Relational.Budget.cancel ->
-  limits:Relational.Budget.limits ->
-  Policy.t ->
-  governed
-(** {!run_governed} against a fresh engine. *)
+val analyse : ?config:config -> ?limits:Relational.Budget.limits -> Policy.t -> governed
+(** Algorithm 5 in one call: materialise the practice into a fresh engine
+    and run {!statement} there.  Without [limits] the run is ungoverned and
+    exact (zero stats).  With [limits] it runs under a strict budget first;
+    when a quota fires, the same limits are retried in partial mode and the
+    truncated pattern set is returned with [degraded = true]. *)

@@ -72,22 +72,15 @@ let run_mining config (practice : Policy.t) : Rule.t list =
   |> List.filter (fun pattern ->
          (not config.distinct_users) || List.length (users_supporting practice pattern) > 1)
 
-(* [run ?backend practice] returns the candidate patterns found in the
-   practice entries. *)
-let run ?(backend = default_backend) (practice : Policy.t) : Rule.t list =
+(* [run ?backend ?limits practice] returns the candidate patterns found in
+   the practice entries.  The SQL backend runs under [limits] when given and
+   degrades to a lower-bound pattern set when the budget fires (see
+   {!Data_analysis.analyse}).  The mining backend works in-memory outside
+   the relational engine, so it is not governed: its result is always
+   exact. *)
+let run ?(backend = default_backend) ?limits (practice : Policy.t) : Data_analysis.governed =
   match backend with
-  | Sql config -> Data_analysis.analyse ~config practice
-  | Mining config -> run_mining config practice
-
-(* Budgeted variant: the SQL backend runs under the governor and degrades
-   to a lower-bound pattern set when the budget fires (see
-   {!Data_analysis.run_governed}).  The mining backend works in-memory
-   outside the relational engine, so it is not governed: its result is
-   always exact. *)
-let run_governed ?(backend = default_backend) ?cancel ~limits (practice : Policy.t) :
-    Data_analysis.governed =
-  match backend with
-  | Sql config -> Data_analysis.analyse_governed ~config ?cancel ~limits practice
+  | Sql config -> Data_analysis.analyse ~config ?limits practice
   | Mining config -> Data_analysis.exact (run_mining config practice)
 
 (* Beyond patterns: association rules across attribute pairs — the "bit more

@@ -30,19 +30,12 @@ val to_transactions : string list -> Policy.t -> Mining.Transactions.t
 val users_supporting : Policy.t -> Rule.t -> string list
 (** Distinct users whose practice entries match the pattern. *)
 
-val run : ?backend:backend -> Policy.t -> Rule.t list
-(** The candidate patterns found in the practice entries. *)
-
-val run_governed :
-  ?backend:backend ->
-  ?cancel:Relational.Budget.cancel ->
-  limits:Relational.Budget.limits ->
-  Policy.t ->
-  Data_analysis.governed
-(** Budgeted {!run}: the SQL backend executes under the resource governor
-    and degrades to a lower-bound pattern set when the budget fires; the
-    in-memory mining backend is not governed and always returns an exact
-    result. *)
+val run :
+  ?backend:backend -> ?limits:Relational.Budget.limits -> Policy.t -> Data_analysis.governed
+(** The candidate patterns found in the practice entries.  The SQL backend
+    runs under [limits] when given and degrades to a lower-bound pattern
+    set when the budget fires; without [limits], or on the in-memory
+    mining backend (which is never governed), the result is exact. *)
 
 val correlations :
   ?attributes:string list ->

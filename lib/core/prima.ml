@@ -92,16 +92,20 @@ let in_training t = t.p_al_size < t.training_minimum
 (* Run one refinement pass over everything collected so far; the accepted
    patterns extend the policy store in place.  [Error] while the training
    period has not accumulated enough log.  [completeness] qualifies the
-   epoch's coverage readings when P_AL came from a partial consolidation. *)
-let refine ?(completeness = 1.0) ?(verified = true) t :
+   epoch's coverage readings when P_AL came from a partial consolidation;
+   [limits] governs this epoch's extraction in place of the configured
+   ones. *)
+let refine ?(completeness = 1.0) ?(verified = true) ?limits t :
     (Refinement.epoch_report, string) result =
   if in_training t then
     Error
       (Printf.sprintf "training period: %d/%d audit entries collected"
          t.p_al_size t.training_minimum)
   else begin
+    let config = t.refinement_config in
+    let config = if limits = None then config else { config with Refinement.limits } in
     let report =
-      Refinement.run_epoch ~config:t.refinement_config ~completeness ~verified
+      Refinement.run_epoch ~config ~completeness ~verified
         ~vocab:t.vocab ~p_ps:t.p_ps ~p_al:(audit_policy t) ()
     in
     t.p_ps <- report.Refinement.p_ps';

@@ -72,11 +72,17 @@ val coverage : t -> coverage_report
 val in_training : t -> bool
 
 val refine :
-  ?completeness:float -> ?verified:bool -> t -> (Refinement.epoch_report, string) result
+  ?completeness:float ->
+  ?verified:bool ->
+  ?limits:Relational.Budget.limits ->
+  t ->
+  (Refinement.epoch_report, string) result
 (** One refinement pass over everything collected so far; accepted patterns
     extend the store in place.  [Error] during the training period.
     [completeness] (default 1.0) qualifies the epoch's coverage readings
-    when P_AL came from a partial consolidation. *)
+    when P_AL came from a partial consolidation.  [limits] governs this
+    epoch's extraction query in place of {!refinement_config}'s, which it
+    leaves unchanged. *)
 
 val reset_audit : t -> unit
 (** Drop consumed audit entries (sliding-window refinement). *)

@@ -33,17 +33,13 @@ let default_config =
     limits = None;
   }
 
-(* Pattern extraction under the config's budget (if any); the ungoverned
-   path is wrapped as an exact result so the epoch logic is uniform. *)
-let extract config practice : Data_analysis.governed =
-  match config.limits with
-  | None -> Data_analysis.exact (Extract_patterns.run ~backend:config.backend practice)
-  | Some limits -> Extract_patterns.run_governed ~backend:config.backend ~limits practice
-
 (* Algorithm 2 verbatim: the useful patterns, before human review. *)
 let useful_patterns ?(config = default_config) ~vocab ~p_ps ~p_al () : Rule.t list =
   let practice = Filter.run ~keep_prohibitions:config.keep_prohibitions p_al in
-  let patterns = (extract config practice).Data_analysis.patterns in
+  let patterns =
+    (Extract_patterns.run ~backend:config.backend ?limits:config.limits practice)
+      .Data_analysis.patterns
+  in
   Prune.run vocab ~patterns ~p_ps
 
 let accept acceptance patterns =
@@ -79,7 +75,9 @@ let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true
     ~p_ps ~p_al () : epoch_report =
   let attrs = Vocabulary.Audit_attrs.pattern in
   let practice = Filter.run ~keep_prohibitions:config.keep_prohibitions p_al in
-  let extraction = extract config practice in
+  let extraction =
+    Extract_patterns.run ~backend:config.backend ?limits:config.limits practice
+  in
   let patterns = extraction.Data_analysis.patterns in
   if extraction.Data_analysis.degraded then
     Log.warn (fun m ->

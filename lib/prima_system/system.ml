@@ -341,15 +341,16 @@ let trend t ~window =
     ~p_al:(Prima_core.Prima.audit_policy t.prima)
     ~window ()
 
-(* One full refinement cycle: consolidate logs, run Algorithm 2 with the
-   configured acceptance, embed accepted patterns into enforcement.
+(* One full refinement cycle under [limits]: consolidate logs, run
+   Algorithm 2 with the configured acceptance, embed accepted patterns into
+   enforcement.
 
    Refuses to run when the consolidation completeness is below the
    threshold: patterns mined from a partial window would be folded into
    P_PS and enforcement on evidence that may be contradicted by the
    missing records.  Recover the sites (or reprocess the quarantine) and
    retry, or lower the threshold deliberately. *)
-let refine t : (Prima_core.Refinement.epoch_report, string) result =
+let epoch t ~limits : (Prima_core.Refinement.epoch_report, string) result =
   let health = sync_audit t in
   let c = health.Audit_mgmt.Health.completeness in
   let floor = effective_threshold_for t ~window:health.Audit_mgmt.Health.total in
@@ -364,11 +365,11 @@ let refine t : (Prima_core.Refinement.epoch_report, string) result =
          health.Audit_mgmt.Health.total)
   else
     match
-      Prima_core.Prima.refine ~completeness:c ~verified:(fully_verified t) t.prima
+      Prima_core.Prima.refine ~completeness:c ~verified:(fully_verified t) ?limits t.prima
     with
     | Error _ as e -> e
     | Ok report ->
-      if query_limits t <> None then begin
+      if limits <> None then begin
         t.governed_epochs <- t.governed_epochs + 1;
         t.last_budget_stats <- Some report.Prima_core.Refinement.budget_stats
       end;
@@ -418,6 +419,46 @@ let refresh_pressure t =
     Admission.set_pressure adm
       { p with Admission.wal_backlog = p.Admission.wal_backlog + central }
 
+let no_usage = { Relational.Errors.rows_out = 0; tuples = 0; ticks = 0 }
+
+(* The admission gate both query paths share.  Ungated — no controller
+   installed, or no principal — [run] executes under the standing limits
+   with no grant.  Gated, the gate refreshes backpressure and admits
+   [cost] at the federation clock: a shed is counted and [run] never
+   executes; otherwise [run] gets the grant and the tighter of the grant's
+   and the standing limits, and the class is settled with the usage [run]
+   reports — on every exit, so a strict budget that trips inside [run] is
+   charged the usage its [Budget_exceeded] carries before it propagates.
+   Limits pass to [run] as an argument: the standing ones never change. *)
+let gate t ~cost ?principal run =
+  match admission t, principal with
+  | Some adm, Some principal -> (
+    refresh_pressure t;
+    let now = Audit_mgmt.Federation.clock t.federation in
+    match Admission.admit adm ~now ~kind:Admission.Query principal cost with
+    | Admission.Rejected r ->
+      t.shed_requests <- t.shed_requests + 1;
+      Error r
+    | Admission.Admitted grant | Admission.Brownout grant ->
+      let limits =
+        match query_limits t with
+        | None -> grant.Admission.g_limits
+        | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
+      in
+      let settle = Admission.settle adm ~now principal ~declared:cost in
+      (match run (Some grant) (Some limits) with
+      | result, used ->
+        settle used;
+        Ok result
+      | exception e ->
+        let backtrace = Printexc.get_raw_backtrace () in
+        settle
+          (match e with
+          | Relational.Errors.Budget_exceeded (_, used) -> used
+          | _ -> no_usage);
+        Printexc.raise_with_backtrace e backtrace))
+  | _ -> Ok (fst (run None (query_limits t)))
+
 type admitted_outcome = {
   outcome : Hdb.Enforcement.outcome;
   admitted_class : string;
@@ -428,88 +469,50 @@ type admitted_error =
   | Shed of Admission.rejection (* rejected at the gate; retryable *)
   | Query_failed of Hdb.Enforcement.error
 
-(* An enforcement query through the admission gate.  The grant's limits
-   compose tightest-wins with the standing query limits; a brownout grant
-   runs the budget in Partial mode, so the outcome is an honest prefix.
-   Actual consumption settles back against the class, so an
-   underestimated cost declaration is charged eventually. *)
+(* An enforcement query through the admission gate.  A brownout grant
+   runs the budget in Partial mode, so the outcome is an honest prefix;
+   actual consumption settles back against the class, so an underestimated
+   cost declaration is charged eventually. *)
 let enforce_admitted ?(cost = Admission.cost ~rows:64 ~ticks:4096 ()) ?break_glass t
     ~principal ~user ~role ~purpose sql =
-  match admission t with
-  | None -> (
-    match Hdb.Control_center.query ?break_glass t.control ~user ~role ~purpose sql with
-    | Ok outcome -> Ok { outcome; admitted_class = "(ungated)"; browned_out = false }
-    | Error e -> Error (Query_failed e))
-  | Some adm -> (
-    refresh_pressure t;
-    let now = Audit_mgmt.Federation.clock t.federation in
-    match Admission.admit adm ~now ~kind:Admission.Query principal cost with
-    | Admission.Rejected r ->
-      t.shed_requests <- t.shed_requests + 1;
-      Error (Shed r)
-    | Admission.Admitted grant | Admission.Brownout grant ->
-      let browned_out = grant.Admission.g_mode = Relational.Budget.Partial in
-      let limits =
-        match query_limits t with
-        | None -> grant.Admission.g_limits
-        | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
-      in
-      let budget = Relational.Budget.create ~mode:grant.Admission.g_mode limits in
-      (* Settle on every exit: a strict grant that fires raises
-         [Budget_exceeded] out of the query, and the work done up to that
-         point is still charged to the class. *)
-      let result =
-        Fun.protect
-          ~finally:(fun () ->
-            Admission.settle adm ~now principal ~declared:cost (Relational.Budget.stats budget))
-          (fun () ->
-            Hdb.Control_center.query ?break_glass ~budget t.control ~user ~role ~purpose sql)
-      in
-      (match result with
-      | Ok outcome ->
-        Ok { outcome; admitted_class = grant.Admission.g_class; browned_out }
-      | Error e -> Error (Query_failed e)))
+  (* Ungated, the control center applies its standing limits itself. *)
+  let run grant limits =
+    let budget, admitted_class, browned_out =
+      match grant, limits with
+      | Some g, Some l ->
+        let mode = g.Admission.g_mode in
+        (Some (Relational.Budget.create ~mode l), g.Admission.g_class,
+         mode = Relational.Budget.Partial)
+      | _ -> (None, "(ungated)", false)
+    in
+    let result =
+      match Hdb.Control_center.query ?break_glass ?budget t.control ~user ~role ~purpose sql with
+      | Ok outcome -> Ok { outcome; admitted_class; browned_out }
+      | Error e -> Error (Query_failed e)
+    in
+    (result, Option.fold ~none:no_usage ~some:Relational.Budget.stats budget)
+  in
+  match gate t ~cost ~principal run with Error r -> Error (Shed r) | Ok result -> result
 
-(* One refinement cycle through the admission gate.  A shed returns the
-   typed rejection message; a brownout composes the grant's limits over
-   the standing ones and forces the epoch to report
-   [Coverage.Lower_bound] — the run was deliberately truncated, so its
-   readings must not claim exactness even if the tightened budget never
-   fired. *)
-let refine_admitted ?(cost = Admission.cost ~rows:256 ~ticks:65536 ()) t ~principal =
-  match admission t with
-  | None -> refine t
-  | Some adm -> (
-    refresh_pressure t;
-    let now = Audit_mgmt.Federation.clock t.federation in
-    match Admission.admit adm ~now ~kind:Admission.Query principal cost with
-    | Admission.Rejected r ->
-      t.shed_requests <- t.shed_requests + 1;
-      Error (Admission.rejection_to_string r)
-    | Admission.Admitted grant | Admission.Brownout grant ->
-      let browned_out = grant.Admission.g_mode = Relational.Budget.Partial in
-      let saved = query_limits t in
-      let limits =
-        match saved with
-        | None -> grant.Admission.g_limits
-        | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
-      in
-      set_query_limits t (Some limits);
-      let result =
-        Fun.protect ~finally:(fun () -> set_query_limits t saved) (fun () -> refine t)
-      in
-      (match result with
-      | Error _ as e -> e
-      | Ok report ->
-        Admission.settle adm ~now principal ~declared:cost
-          report.Prima_core.Refinement.budget_stats;
-        if browned_out then begin
-          t.brownout_epochs <- t.brownout_epochs + 1;
-          let c = completeness t in
-          Ok
-            { report with
-              Prima_core.Refinement.qualifier = Prima_core.Coverage.Lower_bound c;
-              degraded = true;
-            }
-        end
-        else Ok report))
+(* One refinement cycle, through the admission gate when [principal] is
+   given.  A shed returns the rejection message; a brownout forces the
+   epoch to report [Coverage.Lower_bound] — the run was deliberately
+   truncated, so its readings must not claim exactness even if the
+   tightened budget never fired. *)
+let refine ?(cost = Admission.cost ~rows:256 ~ticks:65536 ()) ?principal t =
+  let run grant limits =
+    match epoch t ~limits, grant with
+    | (Error _ as e), _ -> (e, no_usage)
+    | Ok report, Some { Admission.g_mode = Relational.Budget.Partial; _ } ->
+      t.brownout_epochs <- t.brownout_epochs + 1;
+      ( Ok
+          { report with
+            Prima_core.Refinement.qualifier = Prima_core.Coverage.Lower_bound (completeness t);
+            degraded = true;
+          },
+        report.Prima_core.Refinement.budget_stats )
+    | Ok report, _ -> (Ok report, report.Prima_core.Refinement.budget_stats)
+  in
+  match gate t ~cost ?principal run with
+  | Error r -> Error (Admission.rejection_to_string r)
+  | Ok result -> result

@@ -217,15 +217,6 @@ val trend : t -> window:int -> Prima_core.Trend.point list
     {!Prima_core.Trend.drifting} on the result signals a refinement run is
     due. *)
 
-val refine : t -> (Prima_core.Refinement.epoch_report, string) result
-(** One full cycle: consolidate logs, run Algorithm 2 with the configured
-    acceptance, embed accepted patterns into enforcement.  [Error] during
-    the training period — and [Error] when consolidation completeness is
-    below {!effective_threshold}: patterns mined from a partial window
-    are never auto-accepted, because the evidence that would have rejected
-    them may simply not have arrived.  After a recovery that dropped a WAL
-    tail, the epoch's coverage readings are lower bounds. *)
-
 (** {1 Multi-tenant admission}
 
     Budget classes on both request paths (see {!Audit_mgmt.Admission}).
@@ -284,15 +275,27 @@ val enforce_admitted :
     The class is settled before it propagates, so the work consumed up to
     the trip is still charged. *)
 
-val refine_admitted :
+val refine :
   ?cost:Audit_mgmt.Admission.cost ->
+  ?principal:Audit_mgmt.Admission.principal ->
   t ->
-  principal:Audit_mgmt.Admission.principal ->
   (Prima_core.Refinement.epoch_report, string) result
-(** {!refine} through the admission gate.  A shed epoch returns the typed
-    rejection message; a brownout epoch runs under the tightened grant
-    and always reports {!Prima_core.Coverage.Lower_bound} — the run was
-    deliberately truncated, so its readings never claim exactness.  The
-    grant's limits are in force only for the epoch: {!query_limits} is
-    restored on every exit, including an exception raised inside it (e.g.
-    a malformed {!Prima_core.Data_analysis.config} condition). *)
+(** One full cycle: consolidate logs, run Algorithm 2 with the configured
+    acceptance, embed accepted patterns into enforcement.  [Error] during
+    the training period — and [Error] when consolidation completeness is
+    below {!effective_threshold}: patterns mined from a partial window
+    are never auto-accepted, because the evidence that would have rejected
+    them may simply not have arrived.  After a recovery that dropped a WAL
+    tail, the epoch's coverage readings are lower bounds.
+
+    With [principal] and a controller installed, the epoch passes the same
+    admission gate as {!enforce_admitted}.  [cost] defaults to a 256-row,
+    65536-tick declaration.  A shed epoch returns
+    {!Audit_mgmt.Admission.rejection_to_string} of the rejection and
+    changes nothing but the shed counter.  An admitted epoch runs under
+    the tighter of the grant's and the standing limits, passed to
+    {!Prima_core.Prima.refine} for this epoch only — {!query_limits}
+    never changes — and its extraction usage settles against the class.
+    A brownout epoch always reports {!Prima_core.Coverage.Lower_bound}:
+    the run was deliberately truncated, so its readings never claim
+    exactness. *)

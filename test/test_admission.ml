@@ -271,13 +271,13 @@ let make_system () =
 
 (* refine through a class that half-affords the declared cost: the epoch
    runs as a brownout and must label its coverage Lower_bound. *)
-let test_refine_admitted_brownout_lower_bound () =
+let test_gated_refine_brownout_lower_bound () =
   let system = make_system () in
   Prima_system.System.set_budget_classes system
     [ ("throttled", rows_class ~cap:200 ~rate:200 ()) ];
   Prima_system.System.assign_tenant system ~tenant:"analyst" ~class_name:"throttled";
   let principal = Adm.principal ~tenant:"analyst" () in
-  (match Prima_system.System.refine_admitted system ~principal with
+  (match Prima_system.System.refine system ~principal with
   | Ok report ->
     check_bool "brownout epoch is a lower bound" true
       (match report.Prima_core.Refinement.qualifier with
@@ -352,7 +352,7 @@ let test_enforce_admitted_settles_on_budget_trip () =
 
 (* An exception inside the admitted epoch must not leave the grant's
    tightened limits in force on every later query. *)
-let test_refine_admitted_restores_limits () =
+let test_gated_refine_restores_limits () =
   let system = make_system () in
   let config = Prima_system.System.query_limits system in
   let refinement = Prima_core.Prima.refinement_config (Prima_system.System.prima system) in
@@ -367,12 +367,95 @@ let test_refine_admitted_restores_limits () =
     [ ("gold", rows_class ~cap:4096 ~rate:4096 ()) ];
   Prima_system.System.assign_tenant system ~tenant:"analyst" ~class_name:"gold";
   (match
-     Prima_system.System.refine_admitted system ~principal:(Adm.principal ~tenant:"analyst" ())
+     Prima_system.System.refine system ~principal:(Adm.principal ~tenant:"analyst" ())
    with
   | _ -> Alcotest.fail "a malformed HAVING condition must raise"
   | exception Relational.Errors.Parse_error _ -> ());
   check_bool "standing limits restored" true
     (Prima_system.System.query_limits system = config)
+
+(* The grant's limits govern a gated epoch as a call argument: while the
+   epoch runs — observed from inside it, by the acceptance oracle — both
+   the system's and the control center's standing limits keep their
+   value. *)
+let test_gated_refine_keeps_standing_limits () =
+  let system = make_system () in
+  let prima = Prima_system.System.prima system in
+  let control = Prima_system.System.control system in
+  let seen = ref [] in
+  let judge _ =
+    seen :=
+      ( Prima_system.System.query_limits system,
+        Hdb.Control_center.query_limits control )
+      :: !seen;
+    true
+  in
+  Prima_core.Prima.set_refinement_config prima
+    { (Prima_core.Prima.refinement_config prima) with
+      Prima_core.Refinement.acceptance = Prima_core.Refinement.Oracle judge;
+    };
+  Prima_system.System.set_budget_classes system
+    [ ("gold", rows_class ~cap:4096 ~rate:4096 ()) ];
+  Prima_system.System.assign_tenant system ~tenant:"analyst" ~class_name:"gold";
+  (match
+     Prima_system.System.refine system ~principal:(Adm.principal ~tenant:"analyst" ())
+   with
+  | Ok report ->
+    check_bool "the grant governed the epoch" true
+      (report.Prima_core.Refinement.budget_stats.Relational.Errors.ticks > 0)
+  | Error e -> Alcotest.fail e);
+  check_bool "the oracle ran during the epoch" true (!seen <> []);
+  List.iter
+    (fun (system_limits, control_limits) ->
+      check_bool "System.query_limits unchanged mid-epoch" true (system_limits = None);
+      check_bool "Control_center.query_limits unchanged mid-epoch" true
+        (control_limits = None))
+    !seen
+
+(* A refine shed at the gate returns the rejection's message, counts the
+   shed, leaves the policy store and the epoch history alone, and charges
+   the class nothing.  The class has no row capacity, so the declared rows
+   can never be admitted; it also meters tuples, which the declaration
+   does not ask for, so only a settlement could debit them. *)
+let test_refine_shed_at_gate () =
+  let system = make_system () in
+  let prima = Prima_system.System.prima system in
+  let config () =
+    Adm.(
+      class_config
+        ~rows:(quota ~capacity:0 ~refill_per_s:0 ())
+        ~tuples:(quota ~capacity:1000 ~refill_per_s:0 ())
+        ())
+  in
+  let cost = Adm.cost ~rows:256 () in
+  let expected =
+    let twin = Adm.create ~now:0 [ ("zero", config ()) ] in
+    Adm.assign twin ~tenant:"analyst" "zero";
+    match Adm.admit twin ~now:0 ~kind:Adm.Query (Adm.principal ~tenant:"analyst" ()) cost with
+    | Adm.Rejected r -> Adm.rejection_to_string r
+    | _ -> Alcotest.fail "a zero-capacity class must shed"
+  in
+  Prima_system.System.set_budget_classes system [ ("zero", config ()) ];
+  Prima_system.System.assign_tenant system ~tenant:"analyst" ~class_name:"zero";
+  let principal = Adm.principal ~tenant:"analyst" () in
+  let p_ps = Prima_core.Policy.rules (Prima_core.Prima.policy_store prima) in
+  let shed_before = (Prima_system.System.governance system).Prima_system.System.shed_requests in
+  (match Prima_system.System.refine ~cost system ~principal with
+  | Ok _ -> Alcotest.fail "a zero-capacity class must shed the epoch"
+  | Error e -> Alcotest.(check string) "the rejection's message" expected e);
+  let gov = Prima_system.System.governance system in
+  check_int "shed counted" (shed_before + 1) gov.Prima_system.System.shed_requests;
+  check_bool "P_PS unchanged" true
+    (Prima_core.Policy.rules (Prima_core.Prima.policy_store prima) = p_ps);
+  check_int "no epoch in the history" 0 (List.length (Prima_core.Prima.history prima));
+  check_bool "class counters: one shed, nothing granted" true
+    (List.exists
+       (fun (s : Adm.class_stats) ->
+         s.Adm.cls = "zero" && s.Adm.shed = 1 && s.Adm.admitted = 0 && s.Adm.brownouts = 0)
+       gov.Prima_system.System.classes);
+  let adm = Option.get (Prima_system.System.admission system) in
+  check_bool "the class was not charged: its tuples still fit" true
+    (is_admitted (Adm.admit adm ~now:0 ~kind:Adm.Mutation principal (Adm.cost ~tuples:1000 ())))
 
 let () =
   Alcotest.run "admission"
@@ -404,12 +487,15 @@ let () =
         [ Alcotest.test_case "limits_min tightest wins" `Quick test_limits_min_tightest_wins ] );
       ( "system",
         [ Alcotest.test_case "refine brownout lower bound" `Quick
-            test_refine_admitted_brownout_lower_bound;
+            test_gated_refine_brownout_lower_bound;
           Alcotest.test_case "enforce shed and exact" `Quick
             test_enforce_admitted_shed_and_exact;
           Alcotest.test_case "enforce settles on a budget trip" `Quick
             test_enforce_admitted_settles_on_budget_trip;
           Alcotest.test_case "refine restores limits on raise" `Quick
-            test_refine_admitted_restores_limits;
+            test_gated_refine_restores_limits;
+          Alcotest.test_case "gated refine keeps standing limits" `Quick
+            test_gated_refine_keeps_standing_limits;
+          Alcotest.test_case "refine shed at the gate" `Quick test_refine_shed_at_gate;
         ] );
     ]

@@ -171,24 +171,46 @@ let prop_governed_matches_ungoverned =
 let practice () = Prima_core.Filter.run (S.table1_audit_policy ())
 
 let test_degraded_extraction_is_lower_bound () =
-  let exact = DA.analyse (practice ()) in
+  let exact = (DA.analyse (practice ())).DA.patterns in
   check_bool "scenario yields a pattern" true (List.length exact > 0);
   (* Generous budget: same patterns, not degraded, stats populated. *)
-  let ok = DA.analyse_governed ~limits:(B.limits ~ticks:1_000_000 ()) (practice ()) in
+  let ok = DA.analyse ~limits:(B.limits ~ticks:1_000_000 ()) (practice ()) in
   check_bool "not degraded" false ok.DA.degraded;
   check_bool "patterns identical" true (ok.DA.patterns = exact);
   check_bool "stats populated" true (ok.DA.stats.E.ticks > 0);
   (* Starved budget: the strict attempt fires, the partial retry returns a
      subset of the exact patterns, flagged degraded. *)
-  let starved = DA.analyse_governed ~limits:(B.limits ~tuples:3 ()) (practice ()) in
+  let starved = DA.analyse ~limits:(B.limits ~tuples:3 ()) (practice ()) in
   check_bool "degraded" true starved.DA.degraded;
   check_bool "patterns are a subset of the exact set" true
     (List.for_all (fun rule -> List.mem rule exact) starved.DA.patterns)
 
+(* A degraded run did the strict attempt's work up to the trip and then
+   the partial retry's: its usage is the sum of both, each measured here
+   by a direct Algorithm 5 run under the same limits. *)
+let test_degraded_usage_sums_both_attempts () =
+  let limits = B.limits ~tuples:10 () in
+  let degraded = DA.analyse ~limits (practice ()) in
+  check_bool "the budget fired" true degraded.DA.degraded;
+  let engine = Eng.create () in
+  ignore (DA.materialize engine ~table_name:"practice" (practice ()));
+  let run budget = DA.run ~budget engine ~table_name:"practice" DA.default_config in
+  let strict =
+    match run (B.create limits) with
+    | _ -> Alcotest.fail "the strict attempt must trip"
+    | exception E.Budget_exceeded (_, stats) -> stats
+  in
+  let partial = B.create ~mode:B.Partial limits in
+  ignore (run partial);
+  let partial = B.stats partial in
+  check_int "rows" (strict.E.rows_out + partial.E.rows_out) degraded.DA.stats.E.rows_out;
+  check_int "tuples" (strict.E.tuples + partial.E.tuples) degraded.DA.stats.E.tuples;
+  check_int "ticks" (strict.E.ticks + partial.E.ticks) degraded.DA.stats.E.ticks
+
 let test_extract_patterns_governed_mining_exact () =
   (* The mining backend is ungoverned: always exact, zero stats. *)
   let governed =
-    EP.run_governed ~backend:(EP.Mining EP.default_mining) ~limits:(B.limits ~tuples:1 ())
+    EP.run ~backend:(EP.Mining EP.default_mining) ~limits:(B.limits ~tuples:1 ())
       (practice ())
   in
   check_bool "mining never degrades" false governed.DA.degraded;
@@ -356,6 +378,8 @@ let () =
       ( "degradation",
         [ Alcotest.test_case "extraction lower bound" `Quick
             test_degraded_extraction_is_lower_bound;
+          Alcotest.test_case "degraded usage sums both attempts" `Quick
+            test_degraded_usage_sums_both_attempts;
           Alcotest.test_case "mining backend exact" `Quick
             test_extract_patterns_governed_mining_exact;
           Alcotest.test_case "epoch lower bound" `Quick test_epoch_degrades_to_lower_bound;

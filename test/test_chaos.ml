@@ -67,9 +67,9 @@ let test_deterministic () =
 let test_empty_practice_analysis () =
   let empty = Prima_core.Policy.make [] in
   check_int "analyse of an empty practice finds nothing" 0
-    (List.length (Prima_core.Data_analysis.analyse empty));
+    (List.length (Prima_core.Data_analysis.analyse empty).Prima_core.Data_analysis.patterns);
   let governed =
-    Prima_core.Data_analysis.analyse_governed
+    Prima_core.Data_analysis.analyse
       ~limits:(Relational.Budget.limits ~ticks:10 ())
       empty
   in

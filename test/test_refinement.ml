@@ -66,7 +66,7 @@ let test_data_analysis_strict_comparator () =
 
 let test_data_analysis_finds_pattern () =
   let practice = F.run (S.table1_audit_policy ()) in
-  let patterns = DA.analyse practice in
+  let patterns = (DA.analyse practice).DA.patterns in
   check_int "exactly one" 1 (List.length patterns);
   check_string "the pattern" "referral:registration:nurse" (compact (List.hd patterns))
 
@@ -75,9 +75,9 @@ let test_data_analysis_threshold_edge () =
      does not — the pseudocode/narrative discrepancy made executable. *)
   let practice = F.run (S.table1_audit_policy ()) in
   let strict = { DA.default_config with DA.comparator = DA.More_than } in
-  check_int "strict misses it" 0 (List.length (DA.analyse ~config:strict practice));
+  check_int "strict misses it" 0 (List.length (DA.analyse ~config:strict practice).DA.patterns);
   let lower = { DA.default_config with DA.min_frequency = 6 } in
-  check_int "f=6 misses it" 0 (List.length (DA.analyse ~config:lower practice))
+  check_int "f=6 misses it" 0 (List.length (DA.analyse ~config:lower practice).DA.patterns)
 
 let test_data_analysis_distinct_user_condition () =
   (* With the distinct-user condition dropped, single-user repetition also
@@ -90,10 +90,10 @@ let test_data_analysis_distinct_user_condition () =
             ("status", "0") ])
   in
   let practice = P.add_rules (F.run (S.table1_audit_policy ())) single_user_spam in
-  let with_condition = DA.analyse practice in
+  let with_condition = (DA.analyse practice).DA.patterns in
   check_int "condition filters solo runs" 1 (List.length with_condition);
   let no_condition = { DA.default_config with DA.condition = None } in
-  check_int "without condition both" 2 (List.length (DA.analyse ~config:no_condition practice))
+  check_int "without condition both" 2 (List.length (DA.analyse ~config:no_condition practice).DA.patterns)
 
 let test_data_analysis_custom_attributes () =
   let practice = F.run (S.table1_audit_policy ()) in
@@ -103,7 +103,7 @@ let test_data_analysis_custom_attributes () =
       DA.condition = None;
     }
   in
-  let patterns = DA.analyse ~config practice in
+  let patterns = (DA.analyse ~config practice).DA.patterns in
   check_bool "registration:nurse found" true
     (List.exists (fun r -> compact r = "registration:nurse") patterns)
 
@@ -111,15 +111,15 @@ let test_data_analysis_custom_attributes () =
 
 let test_extract_sql_backend () =
   let practice = F.run (S.table1_audit_policy ()) in
-  let patterns = EP.run practice in
+  let patterns = (EP.run practice).DA.patterns in
   check_int "one pattern" 1 (List.length patterns);
   check_bool "it is the expected one" true
     (R.equal_syntactic (List.hd patterns) (S.expected_pattern ()))
 
 let test_extract_mining_backend_agrees () =
   let practice = F.run (S.table1_audit_policy ()) in
-  let sql_patterns = EP.run practice in
-  let mine cfg = EP.run ~backend:(EP.Mining cfg) practice in
+  let sql_patterns = (EP.run practice).DA.patterns in
+  let mine cfg = (EP.run ~backend:(EP.Mining cfg) practice).DA.patterns in
   let apriori = mine EP.default_mining in
   let fp = mine { EP.default_mining with EP.algorithm = `Fp_growth } in
   let sorted ps = List.sort String.compare (List.map compact ps) in
@@ -136,12 +136,13 @@ let test_extract_mining_distinct_users () =
   in
   let practice = P.make single_user_spam in
   check_int "solo pattern suppressed" 0
-    (List.length (EP.run ~backend:(EP.Mining EP.default_mining) practice));
+    (List.length (EP.run ~backend:(EP.Mining EP.default_mining) practice).DA.patterns);
   check_int "allowed when disabled" 1
     (List.length
        (EP.run
           ~backend:(EP.Mining { EP.default_mining with EP.distinct_users = false })
-          practice))
+          practice)
+         .DA.patterns)
 
 let test_correlations () =
   let practice = F.run (S.table1_audit_policy ()) in

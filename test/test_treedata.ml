@@ -215,7 +215,8 @@ let test_enforcement_audit_feeds_refinement () =
       (Hdb.Audit_logger.store (Tree_enforcement.logger enforcement))
   in
   let patterns =
-    Prima_core.Extract_patterns.run (Prima_core.Filter.run p_al)
+    (Prima_core.Extract_patterns.run (Prima_core.Filter.run p_al))
+      .Prima_core.Data_analysis.patterns
   in
   check_bool "patterns mined from tree audit" true (List.length patterns > 0)
 
