@@ -131,20 +131,6 @@ let pressure_signals t =
 let refresh_pressure t =
   Option.iter (fun adm -> Admission.set_pressure adm (pressure_signals t)) t.admission
 
-let class_health_rows t =
-  match t.admission with
-  | None -> []
-  | Some adm ->
-      List.map
-        (fun (s : Admission.class_stats) ->
-          { Health.cls = s.Admission.cls;
-            weight = s.Admission.weight;
-            admitted = s.Admission.admitted;
-            brownouts = s.Admission.brownouts;
-            shed = s.Admission.shed;
-          })
-        (Admission.stats adm)
-
 let heal_all t =
   List.iter (fun m -> Option.iter Fault.heal m.fault) t.members
 
@@ -354,7 +340,8 @@ let consolidated_view t : view =
       ([], []) t.members
   in
   let streams = List.rev streams_rev in
-  { health = Health.of_sites ~classes:(class_health_rows t) (List.rev healths_rev);
+  let classes = Option.fold ~none:[] ~some:Admission.stats t.admission in
+  { health = Health.of_sites ~classes (List.rev healths_rev);
     pattern_counts =
       Hashtbl.fold
         (fun (data, purpose, authorized) n acc ->

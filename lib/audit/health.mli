@@ -52,18 +52,9 @@ val make :
   site_health
 (** Durability fields default to healthy (0 shards, not degraded). *)
 
-type class_health = {
-  cls : string;
-  weight : int;
-  admitted : int;  (** strict admission grants *)
-  brownouts : int;  (** Partial-mode (lower-bound) grants *)
-  shed : int;  (** typed, all-or-nothing rejections *)
-}
-(** Admission accounting for one budget class (see {!Admission}). *)
-
 type t = {
   sites : site_health list;
-  classes : class_health list;
+  classes : Admission.class_stats list;
       (** per-budget-class admission rows; [[]] when no admission
           controller is attached *)
   delivered : int;
@@ -75,7 +66,7 @@ type t = {
   degraded_shards : int;  (** torn or tampered archive shards, all sites *)
 }
 
-val of_sites : ?classes:class_health list -> site_health list -> t
+val of_sites : ?classes:Admission.class_stats list -> site_health list -> t
 val complete : t -> bool
 
 val site_completeness : site_health -> float
@@ -92,5 +83,5 @@ val skipped_sites : t -> site_health list
 val skip_reason_to_string : skip_reason -> string
 val pp_status : Format.formatter -> site_status -> unit
 val pp_site : Format.formatter -> site_health -> unit
-val pp_class : Format.formatter -> class_health -> unit
+val pp_class : Format.formatter -> Admission.class_stats -> unit
 val pp : Format.formatter -> t -> unit

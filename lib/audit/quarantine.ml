@@ -33,29 +33,37 @@ type t = {
    A checkpoint image is the live items re-encoded as 'A' ops, so replay
    needs only this one decoder. *)
 
-let add_str buffer s =
-  Durable.Frame.put_u32 buffer (String.length s);
-  Buffer.add_string buffer s
+(* A raw record: [npairs : u32] ([key] [value]) xn — shared with the
+   site op log's 'Q'. *)
+let put_raw buffer raw =
+  Durable.Frame.put_u32 buffer (List.length raw);
+  List.iter
+    (fun (k, v) ->
+      Durable.Frame.put_str buffer k;
+      Durable.Frame.put_str buffer v)
+    raw
+
+let read_raw r =
+  let module R = Durable.Frame.Reader in
+  R.list r ~count:R.u32 (fun r ->
+      let key = R.str32 r in
+      let value = R.str32 r in
+      (key, value))
 
 let encode_add ~site ~seq ~raw ~reason =
   let buffer = Buffer.create 64 in
   Buffer.add_char buffer 'A';
   Durable.Frame.put_u64 buffer seq;
-  add_str buffer site;
-  add_str buffer reason;
-  Durable.Frame.put_u32 buffer (List.length raw);
-  List.iter
-    (fun (k, v) ->
-      add_str buffer k;
-      add_str buffer v)
-    raw;
+  Durable.Frame.put_str buffer site;
+  Durable.Frame.put_str buffer reason;
+  put_raw buffer raw;
   Buffer.contents buffer
 
 let encode_remove ~site ~seq =
   let buffer = Buffer.create 24 in
   Buffer.add_char buffer 'R';
   Durable.Frame.put_u64 buffer seq;
-  add_str buffer site;
+  Durable.Frame.put_str buffer site;
   Buffer.contents buffer
 
 let encode_clear = "C"
@@ -66,62 +74,21 @@ type op =
   | Op_clear
 
 let decode_op s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let ( let* ) = Option.bind in
-  let u64 () =
-    if !pos + 8 > n then None
-    else begin
-      let v = Durable.Frame.get_u64 s !pos in
-      pos := !pos + 8;
-      if v < 0 then None else Some v
-    end
-  in
-  let str () =
-    if !pos + 4 > n then None
-    else begin
-      let len = Durable.Frame.get_u32 s !pos in
-      pos := !pos + 4;
-      if len < 0 || !pos + len > n then None
-      else begin
-        let v = String.sub s !pos len in
-        pos := !pos + len;
-        Some v
-      end
-    end
-  in
-  if n = 0 then None
-  else
-    match s.[0] with
-    | 'C' -> if n = 1 then Some Op_clear else None
-    | 'R' ->
-      pos := 1;
-      let* seq = u64 () in
-      let* site = str () in
-      if !pos <> n then None else Some (Op_remove (site, seq))
-    | 'A' ->
-      pos := 1;
-      let* seq = u64 () in
-      let* site = str () in
-      let* reason = str () in
-      let* npairs =
-        if !pos + 4 > n then None
-        else begin
-          let v = Durable.Frame.get_u32 s !pos in
-          pos := !pos + 4;
-          if v < 0 then None else Some v
-        end
-      in
-      let rec pairs acc k =
-        if k = 0 then Some (List.rev acc)
-        else
-          let* key = str () in
-          let* value = str () in
-          pairs ((key, value) :: acc) (k - 1)
-      in
-      let* raw = pairs [] npairs in
-      if !pos <> n then None else Some (Op_add { site; seq; raw; reason })
-    | _ -> None
+  let module R = Durable.Frame.Reader in
+  R.decode s (fun r ->
+      match Char.chr (R.u8 r) with
+      | 'C' -> Op_clear
+      | 'R' ->
+        let seq = R.u64 r in
+        let site = R.str32 r in
+        Op_remove (site, seq)
+      | 'A' ->
+        let seq = R.u64 r in
+        let site = R.str32 r in
+        let reason = R.str32 r in
+        let raw = read_raw r in
+        Op_add { site; seq; raw; reason }
+      | _ -> R.fail ())
 
 let create () = { index = Hashtbl.create 16; order = []; log = None }
 
@@ -193,52 +160,45 @@ let attach_log t log = t.log <- Some log
 let sync t = Option.iter Durable.Log.sync t.log
 
 (* Replay a recovered op log into [t] (assumed fresh), then attach it so
-   new mutations are write-ahead.  Ops that fail to decode are counted —
-   they passed their CRC, so a non-zero count means a codec mismatch. *)
+   new mutations are write-ahead. *)
 let restore t log =
-  let recovery = Durable.Log.open_or_recover log in
-  let undecodable = ref 0 in
-  List.iter
-    (fun payload ->
-      match decode_op payload with
-      | Some (Op_add { site; seq; raw; reason }) -> add_mem t ~site ~seq ~raw ~reason
-      | Some (Op_remove (site, seq)) -> remove_mem t ~site ~seq
-      | Some Op_clear -> clear_mem t
-      | None -> incr undecodable)
-    recovery.Durable.Recovery.entries;
+  let result =
+    Durable.Log.replay log (fun payload ->
+        match decode_op payload with
+        | Some (Op_add { site; seq; raw; reason }) ->
+          add_mem t ~site ~seq ~raw ~reason;
+          true
+        | Some (Op_remove (site, seq)) ->
+          remove_mem t ~site ~seq;
+          true
+        | Some Op_clear ->
+          clear_mem t;
+          true
+        | None -> false)
+  in
   t.log <- Some log;
-  (recovery, !undecodable)
+  result
 
 let open_durable log =
   let t = create () in
   let recovery, undecodable = restore t log in
   (t, recovery, undecodable)
 
-(* Compact the op history into a snapshot of the live items (each re-encoded
-   as an 'A' op, so replay reuses the one decoder) and truncate the WAL. *)
-let checkpoint t =
-  match t.log with
-  | None -> ()
-  | Some durable_log ->
-    let entries =
-      List.map
-        (fun { site; seq; raw; reason } -> encode_add ~site ~seq ~raw ~reason)
-        (items t)
-    in
-    Durable.Log.checkpoint durable_log ~entries
+(* The live items, each re-encoded as an 'A' op, so replay reuses the one
+   decoder. *)
+let image t =
+  List.map (fun { site; seq; raw; reason } -> encode_add ~site ~seq ~raw ~reason) (items t)
+
+(* Compact the op history into a snapshot of the live items and truncate
+   the WAL. *)
+let checkpoint t = Option.iter (fun log -> Durable.Log.checkpoint log ~entries:(image t)) t.log
 
 (* Keep the op log bounded: compact automatically once it exceeds the
    policy.  Mutations are write-ahead (op logged, then applied), so at
    trigger time the live items are exactly the state the logged ops
    produce. *)
 let enable_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:1024 ()) t =
-  match t.log with
-  | None -> ()
-  | Some durable_log ->
-    Durable.Log.set_auto_checkpoint durable_log policy (fun () ->
-        List.map
-          (fun { site; seq; raw; reason } -> encode_add ~site ~seq ~raw ~reason)
-          (items t))
+  Option.iter (fun log -> Durable.Log.set_auto_checkpoint log policy (fun () -> image t)) t.log
 
 let pp_item ppf item =
   Fmt.pf ppf "%s#%d: %s" item.site item.seq item.reason

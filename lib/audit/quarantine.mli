@@ -72,5 +72,12 @@ val restore : t -> Durable.Log.t -> Durable.Recovery.t * int
 val open_durable : Durable.Log.t -> t * Durable.Recovery.t * int
 (** [create] + {!restore}. *)
 
+val put_raw : Buffer.t -> (string * string) list -> unit
+(** The raw-record payload codec ([npairs : u32] then each key and value
+    behind its u32 length), shared with {!Site}'s op log. *)
+
+val read_raw : Durable.Frame.Reader.t -> (string * string) list
+(** Inverse of {!put_raw}. *)
+
 val pp_item : Format.formatter -> item -> unit
 val pp : Format.formatter -> t -> unit

@@ -291,15 +291,15 @@ let checkpoint t =
 (* Recover one shard log; [expected] is its manifest descriptor if the
    manifest survived. *)
 let recover_shard ~name ~site ~bucket ~log ~expected =
-  let report = Durable.Log.open_or_recover log in
   let decoded = ref [] in
-  let undecodable = ref 0 in
-  List.iter
-    (fun wire ->
-      match Hdb.Audit_schema.of_wire wire with
-      | Some e -> decoded := e :: !decoded
-      | None -> incr undecodable)
-    report.Durable.Recovery.entries;
+  let report, undecodable =
+    Durable.Log.replay log (fun wire ->
+        match Hdb.Audit_schema.of_wire wire with
+        | Some e ->
+          decoded := e :: !decoded;
+          true
+        | None -> false)
+  in
   let entries = List.rev !decoded in
   let recovered = List.length entries in
   let status, stranded =
@@ -312,8 +312,8 @@ let recover_shard ~name ~site ~bucket ~log ~expected =
       | Some d when recovered < d.Durable.Manifest.records ->
         (Torn { lost = d.Durable.Manifest.records - recovered }, 0)
       | Some _ | None ->
-        if Durable.Recovery.dropped_tail report || !undecodable > 0 then
-          (Torn { lost = !undecodable }, 0)
+        if Durable.Recovery.dropped_tail report || undecodable > 0 then
+          (Torn { lost = undecodable }, 0)
         else (Healthy, 0))
   in
   let shard =

@@ -53,53 +53,38 @@ type t = {
    A checkpoint image re-encodes live state as 'E' + 'P' + 'Q' + 'N' ops,
    so replay needs only this one decoder. *)
 
-let add_str buffer s =
-  Durable.Frame.put_u32 buffer (String.length s);
-  Buffer.add_string buffer s
-
 let encode_entry entry =
   let buffer = Buffer.create 64 in
   Buffer.add_char buffer 'E';
-  add_str buffer (Hdb.Audit_schema.to_wire entry);
+  Durable.Frame.put_str buffer (Hdb.Audit_schema.to_wire entry);
   Buffer.contents buffer
 
 let encode_seq_entry ~seq entry =
   let buffer = Buffer.create 64 in
   Buffer.add_char buffer 'S';
   Durable.Frame.put_u64 buffer seq;
-  add_str buffer (Hdb.Audit_schema.to_wire entry);
+  Durable.Frame.put_str buffer (Hdb.Audit_schema.to_wire entry);
   Buffer.contents buffer
 
-let encode_processed ~seq =
+let encode_seq op seq =
   let buffer = Buffer.create 16 in
-  Buffer.add_char buffer 'P';
+  Buffer.add_char buffer op;
   Durable.Frame.put_u64 buffer seq;
   Buffer.contents buffer
+
+let encode_processed ~seq = encode_seq 'P' seq
 
 let encode_quarantined ~seq ~raw ~reason =
   let buffer = Buffer.create 64 in
   Buffer.add_char buffer 'Q';
   Durable.Frame.put_u64 buffer seq;
-  add_str buffer reason;
-  Durable.Frame.put_u32 buffer (List.length raw);
-  List.iter
-    (fun (k, v) ->
-      add_str buffer k;
-      add_str buffer v)
-    raw;
+  Durable.Frame.put_str buffer reason;
+  Quarantine.put_raw buffer raw;
   Buffer.contents buffer
 
-let encode_unquarantined ~seq =
-  let buffer = Buffer.create 16 in
-  Buffer.add_char buffer 'R';
-  Durable.Frame.put_u64 buffer seq;
-  Buffer.contents buffer
+let encode_unquarantined ~seq = encode_seq 'R' seq
 
-let encode_next ~next =
-  let buffer = Buffer.create 16 in
-  Buffer.add_char buffer 'N';
-  Durable.Frame.put_u64 buffer next;
-  Buffer.contents buffer
+let encode_next ~next = encode_seq 'N' next
 
 type op =
   | Op_entry of Hdb.Audit_schema.entry
@@ -110,76 +95,22 @@ type op =
   | Op_next of int
 
 let decode_op s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let ( let* ) = Option.bind in
-  let u64 () =
-    if !pos + 8 > n then None
-    else begin
-      let v = Durable.Frame.get_u64 s !pos in
-      pos := !pos + 8;
-      if v < 0 then None else Some v
-    end
-  in
-  let str () =
-    if !pos + 4 > n then None
-    else begin
-      let len = Durable.Frame.get_u32 s !pos in
-      pos := !pos + 4;
-      if len < 0 || !pos + len > n then None
-      else begin
-        let v = String.sub s !pos len in
-        pos := !pos + len;
-        Some v
-      end
-    end
-  in
-  let entry () =
-    let* wire = str () in
-    Hdb.Audit_schema.of_wire wire
-  in
-  if n = 0 then None
-  else begin
-    pos := 1;
-    match s.[0] with
-    | 'E' ->
-      let* e = entry () in
-      if !pos <> n then None else Some (Op_entry e)
-    | 'S' ->
-      let* seq = u64 () in
-      let* e = entry () in
-      if !pos <> n then None else Some (Op_seq_entry (seq, e))
-    | 'P' ->
-      let* seq = u64 () in
-      if !pos <> n then None else Some (Op_processed seq)
-    | 'Q' ->
-      let* seq = u64 () in
-      let* reason = str () in
-      let* npairs =
-        if !pos + 4 > n then None
-        else begin
-          let v = Durable.Frame.get_u32 s !pos in
-          pos := !pos + 4;
-          if v < 0 then None else Some v
-        end
-      in
-      let rec pairs acc k =
-        if k = 0 then Some (List.rev acc)
-        else
-          let* key = str () in
-          let* value = str () in
-          pairs ((key, value) :: acc) (k - 1)
-      in
-      let* raw = pairs [] npairs in
-      if !pos <> n then None else Some (Op_quarantined (seq, reason, raw))
-    | 'R' ->
-      let* seq = u64 () in
-      if !pos <> n then None else Some (Op_unquarantined seq)
-    | 'N' ->
-      let* next = u64 () in
-      if !pos <> n then None else Some (Op_next next)
-    | _ -> None
-  end
+  let module R = Durable.Frame.Reader in
+  let entry r = R.some (Hdb.Audit_schema.of_wire (R.str32 r)) in
+  R.decode s (fun r ->
+      match Char.chr (R.u8 r) with
+      | 'E' -> Op_entry (entry r)
+      | 'S' ->
+        let seq = R.u64 r in
+        Op_seq_entry (seq, entry r)
+      | 'P' -> Op_processed (R.u64 r)
+      | 'Q' ->
+        let seq = R.u64 r in
+        let reason = R.str32 r in
+        Op_quarantined (seq, reason, Quarantine.read_raw r)
+      | 'R' -> Op_unquarantined (R.u64 r)
+      | 'N' -> Op_next (R.u64 r)
+      | _ -> R.fail ())
 
 (* [quarantine] lets a restarted site adopt a quarantine recovered from a
    durable op log (its items keep their original seqs, so reprocessing
@@ -251,7 +182,18 @@ let ingest_entry t entry =
   log_op t (encode_entry entry);
   apply_entry t entry
 
-let ingest_entries t entries = List.iter (ingest_entry t) entries
+(* The whole batch is encoded before any of it is logged or applied, so an
+   entry the codec refuses raises with nothing touched. *)
+let encode_batch entries = List.map (fun entry -> (encode_entry entry, entry)) entries
+
+let apply_batch t batch =
+  List.iter
+    (fun (op, entry) ->
+      log_op t op;
+      apply_entry t entry)
+    batch
+
+let ingest_entries t entries = apply_batch t (encode_batch entries)
 
 (* @raise Mapping.Unmappable on malformed raw records. *)
 let ingest_raw t raw = ingest_entry t (Mapping.apply t.mapping raw)
@@ -267,24 +209,31 @@ let empty_summary = { ingested = 0; quarantined = 0; duplicates = 0 }
 let summary_total s = s.ingested + s.quarantined + s.duplicates
 
 (* One raw record at a known sequence number.  Atomic: either the record is
-   ingested, or it lands in quarantine with the mapping failure — the store
-   is never left half-updated, and a seq seen before is a no-op.  The op is
-   logged before state changes, so a crash between the two replays to the
-   same outcome. *)
+   ingested, or it lands in quarantine with the mapping failure (or the
+   codec's refusal of a field too long for the wire) — the store is never
+   left half-updated, and a seq seen before is a no-op.  The op is logged
+   before state changes, so a crash between the two replays to the same
+   outcome.  The op is encoded with or without a WAL attached, so both
+   take the same branch. *)
 let ingest_raw_seq t ~seq raw summary =
+  let quarantine reason =
+    log_op t (encode_quarantined ~seq ~raw ~reason);
+    Quarantine.add t.quarantine ~site:t.name ~seq ~raw ~reason;
+    { summary with quarantined = summary.quarantined + 1 }
+  in
   if Hashtbl.mem t.processed seq || Quarantine.mem t.quarantine ~site:t.name ~seq then
     { summary with duplicates = summary.duplicates + 1 }
   else
     match Mapping.apply t.mapping raw with
-    | entry ->
-      log_op t (encode_seq_entry ~seq entry);
-      apply_entry t entry;
-      apply_mark t seq;
-      { summary with ingested = summary.ingested + 1 }
-    | exception Mapping.Unmappable reason ->
-      log_op t (encode_quarantined ~seq ~raw ~reason);
-      Quarantine.add t.quarantine ~site:t.name ~seq ~raw ~reason;
-      { summary with quarantined = summary.quarantined + 1 }
+    | exception Mapping.Unmappable reason -> quarantine reason
+    | entry -> (
+      match encode_seq_entry ~seq entry with
+      | exception Invalid_argument reason -> quarantine reason
+      | op ->
+        log_op t op;
+        apply_entry t entry;
+        apply_mark t seq;
+        { summary with ingested = summary.ingested + 1 })
 
 (* A batch whose records occupy seqs [first_seq, first_seq + length).  A
    retried batch re-sends the same [first_seq]; its already-processed
@@ -320,6 +269,9 @@ let set_admission t admission = t.admission <- admission
 let admission t = t.admission
 
 let ingest_entries_admitted t ~now ~principal entries =
+  (* Encode first: a batch the codec refuses raises before admission
+     debits anything. *)
+  let batch = encode_batch entries in
   let n = List.length entries in
   let decide adm =
     Admission.admit adm ~now ~kind:Admission.Mutation principal (Admission.cost ~rows:n ())
@@ -328,7 +280,7 @@ let ingest_entries_admitted t ~now ~principal entries =
   | Some (Admission.Rejected r) -> Error r
   | Some (Admission.Brownout _) -> assert false (* mutations are never browned out *)
   | Some (Admission.Admitted _) | None ->
-      ingest_entries t entries;
+      apply_batch t batch;
       Ok n
 
 (* Push the site's quarantined records back through the (possibly fixed)
@@ -378,17 +330,15 @@ let checkpoint_image t =
 (* Compact the op history into a snapshot of the live state and truncate
    the WAL. *)
 let checkpoint_wal t =
-  match t.wal with
-  | None -> ()
-  | Some log -> Durable.Log.checkpoint log ~entries:(checkpoint_image t)
+  Option.iter (fun log -> Durable.Log.checkpoint log ~entries:(checkpoint_image t)) t.wal
 
 (* Keep the op log bounded: compact automatically once it exceeds the
    policy.  Safe because mutations are write-ahead — at trigger time the
    live state is exactly what the logged ops produce. *)
 let enable_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:1024 ()) t =
-  match t.wal with
-  | None -> ()
-  | Some log -> Durable.Log.set_auto_checkpoint log policy (fun () -> checkpoint_image t)
+  Option.iter
+    (fun log -> Durable.Log.set_auto_checkpoint log policy (fun () -> checkpoint_image t))
+    t.wal
 
 let apply_op t = function
   | Op_entry e -> apply_entry t e
@@ -406,25 +356,24 @@ let apply_op t = function
   | Op_next next -> if next > t.next_seq then t.next_seq <- next
 
 (* Replay a recovered op log into [t] (assumed fresh), then attach it so
-   new mutations are write-ahead.  Ops that fail to decode are counted —
-   they passed their CRC, so a non-zero count means a codec mismatch. *)
+   new mutations are write-ahead. *)
 let restore t log =
-  let report = Durable.Log.open_or_recover log in
-  let undecodable = ref 0 in
-  List.iter
-    (fun payload ->
-      match decode_op payload with
-      | Some op -> apply_op t op
-      | None -> incr undecodable)
-    report.Durable.Recovery.entries;
+  let ((report, undecodable) as result) =
+    Durable.Log.replay log (fun payload ->
+        match decode_op payload with
+        | Some op ->
+          apply_op t op;
+          true
+        | None -> false)
+  in
   t.wal <- Some log;
   t.recovery <- Some report;
-  t.undecodable <- !undecodable;
+  t.undecodable <- undecodable;
   t.replay_pending <-
     Durable.Recovery.dropped_tail report
     || Durable.Recovery.tampered report
-    || !undecodable > 0;
-  (report, !undecodable)
+    || undecodable > 0;
+  result
 
 let open_durable ?mapping ~name log =
   let t = create ?mapping ~name () in

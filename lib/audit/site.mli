@@ -35,7 +35,12 @@ val next_seq : t -> int
 (** The sequence number the next fresh raw record will receive. *)
 
 val ingest_entry : t -> Hdb.Audit_schema.entry -> unit
+
 val ingest_entries : t -> Hdb.Audit_schema.entry list -> unit
+(** All-or-nothing: the whole batch is encoded before any of it is logged
+    or applied.
+    @raise Invalid_argument when an entry does not encode (a field over
+    65535 bytes); nothing of the batch is applied then. *)
 
 val ingest_raw : t -> (string * string) list -> unit
 (** Legacy single-record path: a raw record through the site's mapping,
@@ -56,8 +61,9 @@ val ingest_raw_batch :
     defaults to the next fresh seqs.  A retried batch re-sends the same
     [first_seq]: already-ingested (or already-quarantined) records count as
     duplicates and are skipped, giving exactly-once ingestion across
-    retries.  Never raises — malformed records are quarantined per record,
-    leaving the rest of the batch ingested. *)
+    retries.  Never raises — malformed records (unmappable, or with a
+    field too long for the wire codec) are quarantined per record with
+    the reason, leaving the rest of the batch ingested. *)
 
 val ingest_raw_all : t -> (string * string) list list -> ingest_summary
 (** [ingest_raw_batch] at the next fresh sequence numbers. *)
@@ -77,7 +83,9 @@ val ingest_entries_admitted :
   t -> now:int -> principal:Admission.principal -> Hdb.Audit_schema.entry list ->
   (int, Admission.rejection) result
 (** All-or-nothing: [Ok n] ingested the whole batch of [n] entries;
-    [Error r] shed it whole. *)
+    [Error r] shed it whole.
+    @raise Invalid_argument when an entry does not encode, before
+    admission debits anything or any state is touched. *)
 
 val reprocess_quarantined : t -> ingest_summary
 (** Push quarantined records back through the (possibly fixed) mapping;
@@ -107,7 +115,8 @@ val recovery : t -> Durable.Recovery.t option
 (** The report of the last {!restore}, if any. *)
 
 val undecodable : t -> int
-(** Recovered ops that no longer decode (0 unless the codec changed). *)
+(** Recovered ops that no longer decode (0 unless the codec changed or a
+    checksum-valid payload is malformed). *)
 
 val sync_wal : t -> unit
 (** fsync the attached WAL (no-op without one). *)

@@ -61,8 +61,6 @@ let ingest_rules t rules =
     rules;
   t.p_al_size <- t.p_al_size + List.length rules
 
-let ingest_rule t rule = ingest_rules t [ rule ]
-
 let set_audit t ~tally p_al =
   let table = Rule.Tbl.create 64 in
   List.iter (fun (rule, n) -> add_count table rule n) tally;

@@ -39,11 +39,9 @@ val set_training_minimum : t -> int -> unit
 val refinement_config : t -> Refinement.config
 val set_refinement_config : t -> Refinement.config -> unit
 
-val ingest_rule : t -> Rule.t -> unit
-(** Append one audit rule to P_AL (forcing it) and count its projection
-    onto the pattern attributes. *)
-
 val ingest_rules : t -> Rule.t list -> unit
+(** Append audit rules to P_AL (forcing it) and count their projections
+    onto the pattern attributes. *)
 
 val set_audit : t -> tally:(Rule.t * int) list -> Policy.t Lazy.t -> unit
 (** Replace P_AL with a lazily built policy, together with its tally: the

@@ -33,15 +33,6 @@ let default_config =
     limits = None;
   }
 
-(* Algorithm 2 verbatim: the useful patterns, before human review. *)
-let useful_patterns ?(config = default_config) ~vocab ~p_ps ~p_al () : Rule.t list =
-  let practice = Filter.run ~keep_prohibitions:config.keep_prohibitions p_al in
-  let patterns =
-    (Extract_patterns.run ~backend:config.backend ?limits:config.limits practice)
-      .Data_analysis.patterns
-  in
-  Prune.run vocab ~patterns ~p_ps
-
 let accept acceptance patterns =
   match acceptance with
   | Accept_all -> patterns

@@ -31,11 +31,6 @@ val default_config : config
 (** SQL backend with the paper's defaults, prohibitions dropped,
     accept-all, no resource budget. *)
 
-val useful_patterns :
-  ?config:config -> vocab:Vocabulary.Vocab.t -> p_ps:Policy.t -> p_al:Policy.t -> unit ->
-  Rule.t list
-(** Algorithm 2 verbatim: the useful patterns, before human review. *)
-
 val accept : acceptance -> Rule.t list -> Rule.t list
 
 type epoch_report = {

@@ -44,6 +44,73 @@ let get_u64 s pos =
   done;
   !n
 
+(* [get_u64] folds 64 stored bits into a 63-bit OCaml int, so a set bit 63
+   would vanish silently — and every u64 this codebase writes (LSNs,
+   record counts, sequence numbers, 62-bit-masked chain values) is < 2^62.
+   A top byte with either high bit set is damage, not a value. *)
+let plausible_u64 s pos = Char.code s.[pos + 7] land 0xc0 = 0
+
+let put_u16 = Buffer.add_uint16_le
+
+let put_str buffer s =
+  put_u32 buffer (String.length s);
+  Buffer.add_string buffer s
+
+(* The one payload decoder: a bounds-checked cursor that every store's
+   codec reads through.  A short read, an implausible u64 or an explicit
+   [fail] aborts the whole decode; [decode] turns that into [None]. *)
+module Reader = struct
+  type t = {
+    s : string;
+    mutable pos : int;
+  }
+
+  exception Malformed
+
+  let fail () = raise Malformed
+
+  let some = function Some v -> v | None -> fail ()
+
+  let take r len =
+    let pos = r.pos in
+    if len > String.length r.s - pos then fail ();
+    r.pos <- pos + len;
+    pos
+
+  let u8 r = Char.code r.s.[take r 1]
+
+  let u16 r = String.get_uint16_le r.s (take r 2)
+
+  let u32 r = get_u32 r.s (take r 4)
+
+  let u64 r =
+    let pos = take r 8 in
+    if not (plausible_u64 r.s pos) then fail ();
+    get_u64 r.s pos
+
+  let bytes r len = String.sub r.s (take r len) len
+  let str16 r = bytes r (u16 r)
+  let str32 r = bytes r (u32 r)
+
+  let list r ~count item =
+    let rec go acc k = if k = 0 then List.rev acc else go (item r :: acc) (k - 1) in
+    go [] (count r)
+
+  let at_end r = r.pos = String.length r.s
+
+  let finish r = if not (at_end r) then fail ()
+
+  let decode s f =
+    let r = { s; pos = 0 } in
+    match
+      let v = f r in
+      finish r;
+      v
+    with
+    | v -> Some v
+    | exception Malformed -> None
+end
+
 type kind =
   | Data (* a logical record; advances the LSN and the chain *)
   | Seal (* a sync marker carrying the chain head; advances neither *)

@@ -81,6 +81,13 @@ let open_or_recover t =
   t.wal <- Some wal;
   r
 
+let replay t apply =
+  let r = open_or_recover t in
+  let rejected =
+    List.fold_left (fun n payload -> if apply payload then n else n + 1) 0 r.Recovery.entries
+  in
+  (r, rejected)
+
 let wal t =
   match t.wal with
   | Some w -> w

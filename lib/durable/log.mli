@@ -23,6 +23,13 @@ val open_or_recover : t -> Recovery.t
     format a fresh WAL when the file is virgin or unusable), and return
     the report. *)
 
+val replay : t -> (string -> bool) -> Recovery.t * int
+(** The restore loop every store shares: {!open_or_recover}, then feed
+    each recovered payload, in log order, to the store's [apply], which
+    answers whether the payload decoded.  Returns the report and the
+    count of rejected payloads — they passed their checksum, so a
+    non-zero count means a codec mismatch. *)
+
 val append : t -> string -> int
 (** Append one record, returning its LSN; opens the log first if nobody
     did.  Not durable until {!sync}.  With an auto-checkpoint policy

@@ -34,16 +34,12 @@ type t = { shards : shard list }
 
 let empty = { shards = [] }
 
-let add_str buffer s =
-  Frame.put_u32 buffer (String.length s);
-  Buffer.add_string buffer s
-
 let encode_payload t =
   let buffer = Buffer.create 256 in
   Frame.put_u32 buffer (List.length t.shards);
   List.iter
     (fun s ->
-      add_str buffer s.name;
+      Frame.put_str buffer s.name;
       Frame.put_u64 buffer s.lo;
       Frame.put_u64 buffer s.hi;
       Frame.put_u64 buffer s.records;
@@ -56,47 +52,17 @@ let encode t =
   magic ^ Frame.encode ~chain:(Chain.hash_string payload) payload
 
 let decode_payload payload =
-  let n = String.length payload in
-  let pos = ref 0 in
-  let ( let* ) = Option.bind in
-  let u32 () =
-    if !pos + 4 > n then None
-    else begin
-      let v = Frame.get_u32 payload !pos in
-      pos := !pos + 4;
-      if v < 0 then None else Some v
-    end
-  in
-  let u64 () =
-    if !pos + 8 > n then None
-    else begin
-      let v = Frame.get_u64 payload !pos in
-      pos := !pos + 8;
-      if v < 0 then None else Some v
-    end
-  in
-  let str () =
-    let* len = u32 () in
-    if !pos + len > n then None
-    else begin
-      let v = String.sub payload !pos len in
-      pos := !pos + len;
-      Some v
-    end
-  in
-  let* count = u32 () in
-  let rec shards acc k =
-    if k = 0 then if !pos = n then Some (List.rev acc) else None
-    else
-      let* name = str () in
-      let* lo = u64 () in
-      let* hi = u64 () in
-      let* records = u64 () in
-      let* chain = u64 () in
-      shards ({ name; lo; hi; records; chain } :: acc) (k - 1)
-  in
-  let* shards = shards [] count in
-  Some { shards }
+  let module R = Frame.Reader in
+  R.decode payload (fun r ->
+      let shard r =
+        let name = R.str32 r in
+        let lo = R.u64 r in
+        let hi = R.u64 r in
+        let records = R.u64 r in
+        let chain = R.u64 r in
+        { name; lo; hi; records; chain }
+      in
+      { shards = R.list r ~count:R.u32 shard })
 
 let decode image =
   if String.length image < String.length magic then Error "truncated manifest header"

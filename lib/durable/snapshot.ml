@@ -56,16 +56,13 @@ let read device =
   else if String.length image < header_size then Error "truncated snapshot header"
   else if String.sub image 0 (String.length magic) <> magic then Error "bad snapshot magic"
   else begin
-    (* same top-byte plausibility check as Wal.read_header: get_u64 would
-       silently drop a set bit 63, and both fields are < 2^62 by
-       construction *)
-    let implausible pos = Char.code image.[pos + 7] land 0xc0 <> 0 in
     let lsn_pos = String.length magic in
     let lsn = Frame.get_u64 image lsn_pos in
     let chain = Frame.get_u64 image (lsn_pos + 8) in
     let count = Frame.get_u32 image (lsn_pos + 16) in
-    if implausible lsn_pos then Error "implausible snapshot LSN"
-    else if implausible (lsn_pos + 8) then Error "implausible snapshot chain"
+    if not (Frame.plausible_u64 image lsn_pos) then Error "implausible snapshot LSN"
+    else if not (Frame.plausible_u64 image (lsn_pos + 8)) then
+      Error "implausible snapshot chain"
     else begin
       let rec records acc mini pos remaining =
         if remaining = 0 then

@@ -40,16 +40,13 @@ let read_header image =
   if String.length image < header_size then Error "missing or truncated WAL header"
   else if String.sub image 0 (String.length magic) <> magic then Error "bad WAL magic"
   else begin
-    (* [Frame.get_u64] folds 64 stored bits into a 63-bit OCaml int, so a
-       set bit 63 would vanish silently — and both fields are < 2^62 by
-       construction (the chain is 62-bit-masked, the LSN a record count).
-       Reject a top byte with either high bit set instead of dropping it:
-       the header has no CRC of its own, so this plausibility check is
-       what turns a high-bit flip into detectable damage. *)
-    let implausible pos = Char.code image.[pos + 7] land 0xc0 <> 0 in
+    (* The header has no CRC of its own, so [Frame.plausible_u64] is what
+       turns a high-bit flip into detectable damage instead of a silently
+       dropped bit 63. *)
     let lsn_pos = String.length magic in
-    if implausible lsn_pos then Error "implausible WAL base LSN"
-    else if implausible (lsn_pos + 8) then Error "implausible WAL base chain"
+    if not (Frame.plausible_u64 image lsn_pos) then Error "implausible WAL base LSN"
+    else if not (Frame.plausible_u64 image (lsn_pos + 8)) then
+      Error "implausible WAL base chain"
     else Ok (Frame.get_u64 image lsn_pos, Frame.get_u64 image (lsn_pos + 8))
   end
 

@@ -141,8 +141,7 @@ let to_assoc e =
 let add_field buffer s =
   let len = String.length s in
   if len > 0xFFFF then invalid_arg "Audit_schema.to_wire: field longer than 65535 bytes";
-  Buffer.add_char buffer (Char.chr (len land 0xFF));
-  Buffer.add_char buffer (Char.chr (len lsr 8));
+  Durable.Frame.put_u16 buffer len;
   Buffer.add_string buffer s
 
 let add_core buffer e =
@@ -165,8 +164,7 @@ let add_provenance_fields buffer p =
   add_field buffer (match p.parent with Some l -> string_of_int l | None -> "");
   let changed = List.length p.changed in
   if changed > 0xFFFF then invalid_arg "Audit_schema.to_wire: too many changed fields";
-  Buffer.add_char buffer (Char.chr (changed land 0xFF));
-  Buffer.add_char buffer (Char.chr (changed lsr 8));
+  Durable.Frame.put_u16 buffer changed;
   List.iter (add_field buffer) p.changed
 
 (* What the per-record integrity hash commits to: the canonical core
@@ -208,81 +206,40 @@ let to_wire e =
    here means a codec mismatch, not bit rot — the caller decides whether
    that is fatal. *)
 let of_wire s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= n then None
-    else begin
-      let b = Char.code s.[!pos] in
-      incr pos;
-      Some b
-    end
-  in
-  let field () =
-    if !pos + 2 > n then None
-    else begin
-      let len = Char.code s.[!pos] lor (Char.code s.[!pos + 1] lsl 8) in
-      pos := !pos + 2;
-      if !pos + len > n then None
-      else begin
-        let f = String.sub s !pos len in
-        pos := !pos + len;
-        Some f
-      end
-    end
-  in
-  let ( let* ) = Option.bind in
-  let* op = byte () in
-  let* status = byte () in
-  let* time = field () in
-  let* user = field () in
-  let* data = field () in
-  let* purpose = field () in
-  let* authorized = field () in
-  let* time = int_of_string_opt time in
-  if op > 1 || status > 1 then None
-  else begin
-    let* provenance =
-      if !pos = n then Some None
-      else begin
-        let* marker = byte () in
-        if marker <> Char.code provenance_marker then None
-        else
-          let* session = field () in
-          let* request = field () in
-          let* parent_s = field () in
-          let* parent =
-            if parent_s = "" then Some None
-            else Option.map Option.some (int_of_string_opt parent_s)
+  let module R = Durable.Frame.Reader in
+  R.decode s (fun r ->
+      let op = R.u8 r in
+      let status = R.u8 r in
+      let time = R.str16 r in
+      let user = R.str16 r in
+      let data = R.str16 r in
+      let purpose = R.str16 r in
+      let authorized = R.str16 r in
+      if op > 1 || status > 1 then R.fail ();
+      let time = R.some (int_of_string_opt time) in
+      let provenance =
+        if R.at_end r then None
+        else begin
+          if R.u8 r <> Char.code provenance_marker then R.fail ();
+          let session = R.str16 r in
+          let request = R.str16 r in
+          let parent =
+            match R.str16 r with "" -> None | l -> Some (R.some (int_of_string_opt l))
           in
-          let* lo = byte () in
-          let* hi = byte () in
-          let count = lo lor (hi lsl 8) in
-          let rec fields acc remaining =
-            if remaining = 0 then Some (List.rev acc)
-            else
-              let* f = field () in
-              fields (f :: acc) (remaining - 1)
-          in
-          let* changed = fields [] count in
-          let* integrity_s = field () in
-          let* integrity = Durable.Chain.of_hex integrity_s in
-          Some (Some { session; request; parent; changed; integrity })
-      end
-    in
-    if !pos <> n then None
-    else
-      Some
-        { time;
-          op = op_of_int op;
-          user;
-          data;
-          purpose;
-          authorized;
-          status = status_of_int status;
-          provenance;
-        }
-  end
+          let changed = R.list r ~count:R.u16 R.str16 in
+          let integrity = R.some (Durable.Chain.of_hex (R.str16 r)) in
+          Some { session; request; parent; changed; integrity }
+        end
+      in
+      { time;
+        op = op_of_int op;
+        user;
+        data;
+        purpose;
+        authorized;
+        status = status_of_int status;
+        provenance;
+      })
 
 let equal (a : entry) (b : entry) = a = b
 

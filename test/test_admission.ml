@@ -222,6 +222,33 @@ let test_shed_batch_leaves_site_untouched () =
     check_int "nothing double-ingested" 6 (Site.length site)
   | Error _ -> Alcotest.fail "refilled batch still shed"
 
+(* A batch the wire codec refuses (a field over 65535 bytes) is refused
+   whole before admission debits anything: no entry applied, no WAL
+   record, no grant counted, and the bucket still affords the batch. *)
+let test_unencodable_batch_debits_nothing () =
+  let adm = Adm.create ~now:0 [ ("tight", rows_class ~cap:3 ~rate:1 ()) ] in
+  Adm.assign adm ~tenant:"clinic" "tight";
+  let site = Site.create ~name:"gated" () in
+  let log = Durable.Log.create ~seed:5 () in
+  Site.attach_wal site log;
+  Site.set_admission site (Some adm);
+  let principal = Adm.principal ~tenant:"clinic" () in
+  let long = { (entry 2) with Hdb.Audit_schema.user = String.make 70_000 'u' } in
+  let lsn = Durable.Log.next_lsn log in
+  (match Site.ingest_entries_admitted site ~now:0 ~principal [ entry 1; long; entry 3 ] with
+  | exception Invalid_argument _ -> ()
+  | Ok _ -> Alcotest.fail "unencodable batch admitted"
+  | Error _ -> Alcotest.fail "unencodable batch shed as overload");
+  check_int "no entry applied" 0 (Site.length site);
+  check_int "no op logged" lsn (Durable.Log.next_lsn log);
+  check_bool "no grant counted" true
+    (match Adm.stats_of_class adm "tight" with
+    | Some s -> s.Adm.admitted = 0 && s.Adm.shed = 0
+    | None -> false);
+  match Site.ingest_entries_admitted site ~now:0 ~principal [ entry 1; entry 2; entry 3 ] with
+  | Ok n -> check_int "bucket undebited: a full batch still fits" 3 n
+  | Error _ -> Alcotest.fail "the refused batch debited the bucket"
+
 (* --- health accounting --- *)
 
 (* satellite pin: a site with zero expected entries is vacuously complete
@@ -478,6 +505,8 @@ let () =
       ( "gated-ingestion",
         [ Alcotest.test_case "shed leaves site untouched" `Quick
             test_shed_batch_leaves_site_untouched;
+          Alcotest.test_case "unencodable batch debits nothing" `Quick
+            test_unencodable_batch_debits_nothing;
         ] );
       ( "health",
         [ Alcotest.test_case "zero-entry completeness" `Quick

@@ -445,6 +445,43 @@ let test_site_wal_checkpoint_then_crash () =
   check_int "quarantine back" 1 (Site.quarantined_count site');
   check_int "sequence floor preserved" (Site.next_seq site) (Site.next_seq site')
 
+(* A raw record that maps but carries a field too long for the wire codec
+   is quarantined with the codec's reason, mid-batch, and the rest of the
+   batch ingests — the same outcome with or without a WAL, and the WAL
+   replays to it. *)
+let test_overlong_field_quarantined () =
+  let long_user = String.make 70_000 'u' in
+  let batch = [ raw_row ~time:"1" (); raw_row ~time:"2" ~user:long_user (); raw_row ~time:"3" () ] in
+  let run wal =
+    let site = Site.create ~name:"icu" () in
+    Option.iter (Site.attach_wal site) wal;
+    let summary = Site.ingest_raw_all site batch in
+    let label what = Printf.sprintf "%s (%s WAL)" what (if wal = None then "no" else "with") in
+    check_int (label "two ingested") 2 summary.Site.ingested;
+    check_int (label "one quarantined") 1 summary.Site.quarantined;
+    check_int (label "store") 2 (Site.length site);
+    check_int (label "sequence floor") 3 (Site.next_seq site);
+    (match Quarantine.site_items (Site.quarantine site) ~site:"icu" with
+    | [ item ] ->
+      check_int (label "the long record's seq") 1 item.Quarantine.seq;
+      check_string (label "codec reason")
+        "Audit_schema.to_wire: field longer than 65535 bytes" item.Quarantine.reason
+    | _ -> Alcotest.fail (label "expected exactly one quarantined item"));
+    site
+  in
+  ignore (run None);
+  let log = site_log 17 in
+  let site = run (Some log) in
+  Site.sync_wal site;
+  let wal = Durable.Log.wal_device log and snap = Durable.Log.snapshot_device log in
+  let site', r, undecodable =
+    Site.open_durable ~name:"icu" (Durable.Log.of_devices ~wal ~snapshot:snap)
+  in
+  check_bool "clean recovery" true (Durable.Recovery.clean r);
+  check_int "every op decodes" 0 undecodable;
+  check_bool "entries replayed" true (Site.entries site' = Site.entries site);
+  check_int "quarantine replayed" 1 (Site.quarantined_count site')
+
 (* --- consolidated_result health --- *)
 
 (* Reliable sites: the production path is equivalent to the direct view and
@@ -527,6 +564,8 @@ let () =
             test_site_wal_torn_tail_degrades;
           Alcotest.test_case "checkpoint then crash" `Quick
             test_site_wal_checkpoint_then_crash;
+          Alcotest.test_case "over-long field quarantined" `Quick
+            test_overlong_field_quarantined;
         ] );
       ( "consolidated-result",
         [ Alcotest.test_case "reliable sites" `Quick test_consolidated_result_reliable;

@@ -4,9 +4,10 @@
    before the crash must survive it (except a truncation that died
    mid-fsync, which is allowed to lose stable bytes but still only ever
    shortens the prefix).  On top of the device matrix: WAL -> snapshot ->
-   WAL round-trips, quarantine persistence across a kill/restart, and the
-   system-level downgrade of coverage to a lower bound after a dropped
-   tail. *)
+   WAL round-trips, quarantine persistence across a kill/restart, the
+   payload decoders' reject branches, golden digests of every on-disk
+   format, and the system-level downgrade of coverage to a lower bound
+   after a dropped tail. *)
 
 module C = Durable.Chain
 module D = Durable.Device
@@ -941,6 +942,212 @@ let manifest_matrix name f =
       Alcotest.test_case (Printf.sprintf "%s, seed %d" name seed) `Quick (f seed))
     matrix_seeds
 
+(* --- golden format: the on-disk bytes of every payload codec --- *)
+
+(* A fixed script over every durable component — site ops E/S/P/Q/R/N,
+   quarantine ops A/R/C, audit entries with and without provenance, a
+   checkpoint each, and a manifest write — must produce WAL, snapshot and
+   manifest images with these exact digests.  A codec change that moves a
+   single byte fails here before it can strand an existing log. *)
+
+let golden_entry ?provenance i =
+  let e =
+    Hdb.Audit_schema.entry ~time:(100 + i)
+      ~op:(if i mod 2 = 0 then Hdb.Audit_schema.Allow else Hdb.Audit_schema.Disallow)
+      ~user:(Printf.sprintf "user-%d" i) ~data:"referral" ~purpose:"treatment"
+      ~authorized:"nurse"
+      ~status:(if i mod 3 = 0 then Hdb.Audit_schema.Exception_based else Hdb.Audit_schema.Regular)
+  in
+  match provenance with
+  | None -> e
+  | Some parent ->
+    Hdb.Audit_schema.with_provenance ~session:"s-1" ~request:(Printf.sprintf "r-%d" i)
+      ?parent ~changed:[ "purpose"; "status" ] e
+
+let golden_raw ?(authorized = "authorized") i =
+  [ ("time", string_of_int (200 + i)); ("op", "1"); ("user", Printf.sprintf "raw-%d" i);
+    ("data", "x-ray"); ("purpose", "registration"); (authorized, "clerk"); ("status", "1") ]
+
+let images log =
+  (D.contents (L.wal_device log), D.contents (L.snapshot_device log))
+
+let hex s = Digest.to_hex (Digest.string s)
+
+let golden_site () =
+  let log = L.create ~seed:90 () in
+  let site = Audit_mgmt.Site.create ~name:"icu" () in
+  Audit_mgmt.Site.attach_wal site log;
+  (* 'E' without and with provenance *)
+  Audit_mgmt.Site.ingest_entries site
+    [ golden_entry 1; golden_entry ~provenance:(Some 7) 2 ];
+  (* 'N', 'S', 'Q' ("rolle" hides the authorized attribute) *)
+  ignore
+    (Audit_mgmt.Site.ingest_raw_all site
+       [ golden_raw 1; golden_raw ~authorized:"rolle" 2; golden_raw 3 ]);
+  (* the snapshot re-encodes live state as 'E' + 'P' + 'Q' + 'N' *)
+  Audit_mgmt.Site.checkpoint_wal site;
+  (* 'R' then a fresh 'Q': the record still does not map *)
+  ignore (Audit_mgmt.Site.reprocess_quarantined site);
+  ignore (Audit_mgmt.Site.ingest_raw_all site [ golden_raw 4 ]);
+  Audit_mgmt.Site.ingest_entry site (golden_entry ~provenance:None 5);
+  Audit_mgmt.Site.sync_wal site;
+  (site, log)
+
+let golden_quarantine () =
+  let log = L.create ~seed:91 () in
+  let q = Audit_mgmt.Quarantine.create () in
+  Audit_mgmt.Quarantine.attach_log q log;
+  Audit_mgmt.Quarantine.add q ~site:"icu" ~seq:1 ~raw:(golden_raw 1) ~reason:"unmappable";
+  Audit_mgmt.Quarantine.add q ~site:"lab" ~seq:2 ~raw:[] ~reason:"corrupt";
+  Audit_mgmt.Quarantine.checkpoint q;
+  Audit_mgmt.Quarantine.remove q ~site:"icu" ~seq:1;
+  Audit_mgmt.Quarantine.clear q;
+  Audit_mgmt.Quarantine.add q ~site:"rad" ~seq:3 ~raw:(golden_raw 3) ~reason:"late";
+  Audit_mgmt.Quarantine.sync q;
+  (q, log)
+
+let golden_audit () =
+  let log = L.create ~seed:92 () in
+  let store = Hdb.Audit_store.create () in
+  Hdb.Audit_store.attach_log store log;
+  Hdb.Audit_store.append_all store
+    [ golden_entry 1; golden_entry ~provenance:(Some 3) 2; golden_entry ~provenance:None 3 ];
+  Hdb.Audit_store.checkpoint store;
+  Hdb.Audit_store.append_all store [ golden_entry 4; golden_entry ~provenance:(Some 4) 5 ];
+  Hdb.Audit_store.sync store;
+  (store, log)
+
+let golden_manifest =
+  { Durable.Manifest.shards =
+      [ { Durable.Manifest.name = "icu#0"; lo = 101; hi = 105; records = 5; chain = 0x2a2a2a };
+        { Durable.Manifest.name = "lab#3"; lo = 30_000; hi = 39_999; records = 0; chain = 0 };
+      ];
+  }
+
+let test_golden_format () =
+  let site, site_log = golden_site () in
+  let q, q_log = golden_quarantine () in
+  let store, audit_log = golden_audit () in
+  let manifest = D.create ~seed:93 () in
+  Durable.Manifest.write manifest golden_manifest;
+  let site_wal, site_snap = images site_log in
+  let q_wal, q_snap = images q_log in
+  let audit_wal, audit_snap = images audit_log in
+  let check_digest what expected image =
+    Alcotest.(check string) (what ^ " digest") expected (hex image)
+  in
+  check_digest "site wal" "1ddc32e2e17ac16dc396bc87290a9a4c" site_wal;
+  check_digest "site snapshot" "8de0bde6fb4a032b78f01919936f702c" site_snap;
+  check_digest "quarantine wal" "8f8a7f02ec255b97639bfe0beb9a7fb9" q_wal;
+  check_digest "quarantine snapshot" "e60312da3adecfb5d1338da65bbaa12b" q_snap;
+  check_digest "audit wal" "2bf2f4bae3a13f9fd26339d061e7bdc0" audit_wal;
+  check_digest "audit snapshot" "9dec1053ca3fe6ca49762a598d4a6189" audit_snap;
+  check_digest "manifest" "945cba0e991931437f7169ef046c1ac4" (D.contents manifest);
+  (* and the images restore the script's state *)
+  let site', r, undecodable = Audit_mgmt.Site.open_durable ~name:"icu" (restart site_log) in
+  check_bool "site clean" true (R.clean r);
+  check_int "site decodes" 0 undecodable;
+  check_bool "site entries" true
+    (Audit_mgmt.Site.entries site' = Audit_mgmt.Site.entries site);
+  check_bool "site quarantine" true
+    (Audit_mgmt.Quarantine.items (Audit_mgmt.Site.quarantine site')
+    = Audit_mgmt.Quarantine.items (Audit_mgmt.Site.quarantine site));
+  check_int "site next_seq" (Audit_mgmt.Site.next_seq site) (Audit_mgmt.Site.next_seq site');
+  let retry = Audit_mgmt.Site.ingest_raw_batch ~first_seq:0 site' (List.init 4 golden_raw) in
+  check_int "site ledger: the replayed batch is all duplicates" 4
+    retry.Audit_mgmt.Site.duplicates;
+  let q', r, undecodable = Audit_mgmt.Quarantine.open_durable (restart q_log) in
+  check_bool "quarantine clean" true (R.clean r);
+  check_int "quarantine decodes" 0 undecodable;
+  check_bool "quarantine items" true
+    (Audit_mgmt.Quarantine.items q' = Audit_mgmt.Quarantine.items q);
+  let store', r, undecodable = Hdb.Audit_store.open_durable (restart audit_log) in
+  check_bool "audit clean" true (R.clean r);
+  check_int "audit decodes" 0 undecodable;
+  check_bool "audit entries" true
+    (Hdb.Audit_store.to_list store' = Hdb.Audit_store.to_list store);
+  check_bool "manifest reads back" true
+    (Durable.Manifest.read manifest = Ok (Some golden_manifest))
+
+(* --- decoder reject branches --- *)
+
+(* Checksum-valid payloads that do not decode — truncated, one trailing
+   byte, an unknown opcode, a u64 with bit 63 set — are each counted as
+   undecodable by restore, never replayed as something else.  One good
+   op first shows the rest of the log still replays. *)
+
+let u64_bit63 = "\001\000\000\000\000\000\000\128" (* 1 + 2^63, little-endian *)
+
+let with_str s =
+  let buffer = Buffer.create 16 in
+  F.put_u32 buffer (String.length s);
+  Buffer.add_string buffer s;
+  Buffer.contents buffer
+
+let seq_bytes n =
+  let buffer = Buffer.create 8 in
+  F.put_u64 buffer n;
+  Buffer.contents buffer
+
+let append_synced log payloads =
+  List.iter (fun p -> ignore (L.append log p)) payloads;
+  L.sync log
+
+let test_audit_store_rejects () =
+  let good = Hdb.Audit_schema.to_wire (entry 1) in
+  (* the audit entry wire has no u64 field: time and parent are decimal *)
+  let bad =
+    [ String.sub good 0 (String.length good - 1);
+      good ^ "x";
+      "\002" ^ String.sub good 1 (String.length good - 1) (* op byte beyond Allow *);
+    ]
+  in
+  let log = L.create ~seed:94 () in
+  append_synced log (good :: bad);
+  let store, r, undecodable = Hdb.Audit_store.open_durable (restart log) in
+  check_bool "clean recovery" true (R.clean r);
+  check_int "every malformed payload counted" (List.length bad) undecodable;
+  check_bool "the good entry replayed" true (Hdb.Audit_store.to_list store = [ entry 1 ])
+
+let test_quarantine_rejects () =
+  let remove = "R" ^ seq_bytes 1 ^ with_str "icu" in
+  let bad =
+    [ String.sub remove 0 (String.length remove - 1);
+      "Cx";
+      "Z";
+      "R" ^ u64_bit63 ^ with_str "icu";
+    ]
+  in
+  let log = L.create ~seed:95 () in
+  let q = Audit_mgmt.Quarantine.create () in
+  Audit_mgmt.Quarantine.attach_log q log;
+  Audit_mgmt.Quarantine.add q ~site:"icu" ~seq:1 ~raw:(raw_of 1) ~reason:"unmappable";
+  append_synced log bad;
+  let q2, r, undecodable = Audit_mgmt.Quarantine.open_durable (restart log) in
+  check_bool "clean recovery" true (R.clean r);
+  check_int "every malformed payload counted" (List.length bad) undecodable;
+  check_bool "bit 63 did not remove seq 1" true (Audit_mgmt.Quarantine.mem q2 ~site:"icu" ~seq:1)
+
+let test_site_rejects () =
+  let bad =
+    [ "P" ^ String.sub (seq_bytes 5) 0 7;
+      "N" ^ seq_bytes 5 ^ "x";
+      "Z";
+      "P" ^ u64_bit63;
+    ]
+  in
+  let log = L.create ~seed:96 () in
+  let site = Audit_mgmt.Site.create ~name:"icu" () in
+  Audit_mgmt.Site.attach_wal site log;
+  Audit_mgmt.Site.ingest_entry site (entry 1);
+  append_synced log bad;
+  let site', r, undecodable = Audit_mgmt.Site.open_durable ~name:"icu" (restart log) in
+  check_bool "clean recovery" true (R.clean r);
+  check_int "every malformed payload counted" (List.length bad) undecodable;
+  check_int "the good entry replayed" 1 (Audit_mgmt.Site.length site');
+  check_int "bit 63 did not move the sequence floor" 0 (Audit_mgmt.Site.next_seq site');
+  check_bool "undecodable ops degrade the site" true (Audit_mgmt.Site.durably_degraded site')
+
 let () =
   Alcotest.run "durable"
     [ ("crash-matrix", matrix "prefix" test_crash_matrix);
@@ -999,6 +1206,13 @@ let () =
          :: manifest_matrix "write/read/replace" test_manifest_write_read)
         @ manifest_matrix "every truncation unreadable" test_manifest_truncation
         @ manifest_matrix "every bit flip unreadable" test_manifest_bitflip );
+      ( "reject-branches",
+        [ Alcotest.test_case "audit store" `Quick test_audit_store_rejects;
+          Alcotest.test_case "quarantine" `Quick test_quarantine_rejects;
+          Alcotest.test_case "site" `Quick test_site_rejects;
+        ] );
+      ( "golden-format",
+        [ Alcotest.test_case "images byte-identical and restorable" `Quick test_golden_format ] );
       ( "system",
         [ Alcotest.test_case "dropped tail -> lower bound" `Quick
             test_system_recovery_and_lower_bound;
