@@ -25,9 +25,8 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let vocab_of_name = function
-  | "figure1" -> Vocabulary.Samples.figure1 ()
-  | "hospital" -> Vocabulary.Samples.hospital ()
-  | name -> Fmt.failwith "unknown vocabulary %S (use figure1 or hospital)" name
+  | `Figure1 -> Vocabulary.Samples.figure1 ()
+  | `Hospital -> Vocabulary.Samples.hospital ()
 
 let parse_policy_file path : Prima_core.Policy.t =
   Prima_core.Policy_file.of_string (read_file path)
@@ -579,8 +578,17 @@ let run_federation_health audit_path nsites seed p_unavailable p_timeout p_flaky
 open Cmdliner
 
 let vocab_arg =
-  Arg.(value & opt string "figure1" & info [ "vocab" ] ~docv:"NAME"
-         ~doc:"Vocabulary: figure1 or hospital.")
+  Arg.(value
+       & opt (enum [ ("figure1", `Figure1); ("hospital", `Hospital) ]) `Figure1
+       & info [ "vocab" ] ~docv:"NAME" ~doc:"Vocabulary: $(b,figure1) or $(b,hospital).")
+
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (Printf.sprintf "invalid value '%s', expected a positive integer" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
 
 let policy_arg =
   Arg.(required & opt (some file) None & info [ "policy" ] ~docv:"FILE"
@@ -758,7 +766,8 @@ let corrupt_arg =
 
 let trend_cmd =
   let window =
-    Arg.(value & opt int 100 & info [ "window" ] ~docv:"N" ~doc:"Window size in time ticks.")
+    Arg.(value & opt positive_int 100 & info [ "window" ] ~docv:"N"
+           ~doc:"Window size in time ticks (positive).")
   in
   let sites =
     Arg.(value & opt int 0 & info [ "sites" ] ~docv:"N"

@@ -229,7 +229,7 @@ let count_stream tally stream =
 
 type view = {
   health : Health.t;
-  pattern_counts : (Prima_core.Rule.t * int) list;
+  pattern_counts : int Prima_core.Rule.Tbl.t;
   entries : Hdb.Audit_schema.entry list Lazy.t;
 }
 
@@ -343,10 +343,14 @@ let consolidated_view t : view =
   let classes = Option.fold ~none:[] ~some:Admission.stats t.admission in
   { health = Health.of_sites ~classes (List.rev healths_rev);
     pattern_counts =
-      Hashtbl.fold
-        (fun (data, purpose, authorized) n acc ->
-          (To_policy.pattern_rule ~data ~purpose ~authorized, n) :: acc)
-        tally [];
+      (let counts = Prima_core.Rule.Tbl.create (Hashtbl.length tally) in
+       Hashtbl.iter
+         (fun (data, purpose, authorized) n ->
+           Prima_core.Rule.Tbl.replace counts
+             (To_policy.pattern_rule ~data ~purpose ~authorized)
+             n)
+         tally;
+       counts);
     entries = lazy (merge_streams (List.map stream_entries streams));
   }
 

@@ -88,9 +88,10 @@ val consolidated : t -> Hdb.Audit_schema.entry list
 
 type view = {
   health : Health.t;
-  pattern_counts : (Prima_core.Rule.t * int) list;
+  pattern_counts : int Prima_core.Rule.Tbl.t;
       (** occurrences of each distinct (data, purpose, authorized) triple
-          among the delivered entries, as {!To_policy.pattern_rule}s *)
+          among the delivered entries, keyed by {!To_policy.pattern_rule}:
+          the {!Prima_core.Coverage.tally} of the entries' P_AL *)
   entries : Hdb.Audit_schema.entry list Lazy.t;
       (** the delivered entries, merged as {!consolidated} merges them *)
 }

@@ -5,11 +5,15 @@
 
    Two denominators coexist in the paper and both are provided:
 
-   - [compute] is Definition 9 verbatim — ranges are *sets*, so repeated
-     audit entries collapse (Figure 3's 3/6 = 50 %);
-   - [compute_bag] counts each rule occurrence of P_y separately, which is
+   - set semantics is Definition 9 verbatim — ranges are *sets*, so
+     repeated audit entries collapse (Figure 3's 3/6 = 50 %);
+   - bag semantics counts each rule occurrence of P_y separately, which is
      how Section 5 arrives at 3/10 = 30 % for Table 1 (the pattern entry
      repeats five times).
+
+   Both are read from one kernel, [of_tally], over a tally of P_y: each
+   distinct rule with its number of occurrences.  [compute], [compute_bag]
+   and [aligned] tally their P_y and read the kernel.
 
    Policies over different attribute sets (seven-term audit rules vs
    three-term store rules) never intersect under Definition 6; callers
@@ -25,73 +29,77 @@ type stats = {
 let ratio overlap denominator =
   if denominator = 0 then 1.0 else float_of_int overlap /. float_of_int denominator
 
-(* Algorithm 1, set semantics.  When the caller does not need the
-   uncovered listing ([~uncovered:false]), Range(P_y) and the overlap are
-   only *counted* — streamed in one pass through Range.count_ground_rules —
-   never materialised, which is what lets coverage run in the refinement
-   inner loop. *)
-let compute ?(uncovered = true) vocab ~p_x ~p_y : stats =
-  let range_x = Range.of_policy vocab p_x in
-  if uncovered then begin
-    let range_y = Range.of_policy vocab p_y in
-    (* One partitioning sweep over Range(P_y) yields both the overlap count
-       and the uncovered listing — no intersection or difference tables. *)
-    let overlap, uncov =
-      Range.fold
-        (fun g (n, uncov) ->
-          if Range.mem g range_x then (n + 1, uncov) else (n, g :: uncov))
-        range_y (0, [])
-    in
-    { overlap;
-      denominator = Range.cardinality range_y;
-      coverage = ratio overlap (Range.cardinality range_y);
-      uncovered = List.sort Rule.compare uncov;
-    }
-  end
-  else begin
-    let denominator, overlap =
-      Range.count_ground_rules ~within:range_x vocab (Policy.rules p_y)
-    in
-    { overlap; denominator; coverage = ratio overlap denominator; uncovered = [] }
-  end
-
-(* Bag semantics over P_y given as (rule, occurrences) pairs: the covered
-   occurrences out of all of them.  Repeated rules are merged first, so the
-   Range.covers test runs once per distinct rule however long the audit
-   history; the uncovered listing repeats each uncovered rule by its count,
-   in Rule.compare order. *)
-let compute_bag_counts vocab ~p_x counts : stats =
-  let range_x = Range.of_policy vocab p_x in
-  let merged = Rule.Tbl.create 64 in
-  List.iter
-    (fun (rule, n) ->
-      let seen = Option.value (Rule.Tbl.find_opt merged rule) ~default:0 in
-      Rule.Tbl.replace merged rule (seen + n))
-    counts;
-  let overlap, denominator, uncov =
-    Rule.Tbl.fold
-      (fun rule n (overlap, denominator, uncov) ->
-        if Range.covers vocab range_x rule then (overlap + n, denominator + n, uncov)
-        else (overlap, denominator + n, (rule, n) :: uncov))
-      merged (0, 0, [])
-  in
-  let uncovered =
-    List.sort (fun (a, _) (b, _) -> Rule.compare a b) uncov
-    |> List.concat_map (fun (rule, n) -> List.init n (fun _ -> rule))
-  in
+let make_stats overlap denominator uncovered =
   { overlap; denominator; coverage = ratio overlap denominator; uncovered }
 
-(* Bag semantics over P_y's rule sequence, as in the Section 5 walkthrough:
-   every occurrence counts once. *)
-let compute_bag vocab ~p_x ~p_y : stats =
-  compute_bag_counts vocab ~p_x (List.map (fun rule -> (rule, 1)) (Policy.rules p_y))
+type readings = {
+  set_semantics : stats;
+  bag_semantics : stats;
+}
 
-(* Project both policies onto the attributes they share with the
-   vocabulary's pattern dimensions before comparing. *)
-let aligned ?(bag = false) ?(uncovered = true) vocab ~attrs ~p_x ~p_y : stats =
-  let p_x = Policy.project p_x ~attrs in
-  let p_y = Policy.project p_y ~attrs in
-  if bag then compute_bag vocab ~p_x ~p_y else compute ~uncovered vocab ~p_x ~p_y
+let count_rules select policy =
+  let tally = Rule.Tbl.create 64 in
+  let count rule =
+    match Rule.Tbl.find_opt tally rule with
+    | Some n -> Rule.Tbl.replace tally rule (n + 1)
+    | None -> Rule.Tbl.add tally rule 1
+  in
+  List.iter (fun rule -> Option.iter count (select rule)) (Policy.rules policy);
+  tally
+
+let tally ~attrs policy = count_rules (Rule.project ~attrs) policy
+
+(* The kernel: one sweep over the distinct rules of the tally, grounding
+   each once.  A ground rule met for the first time joins the set reading
+   (inside Range(P_x) or uncovered); a rule all of whose ground rules lie
+   in Range(P_x) adds its count to the bag overlap.  The set listing is
+   Range(P_y) \ Range(P_x); the bag listing repeats each uncovered rule by
+   its count.  Both are in Rule.compare order, and each is sorted only
+   when its reading is asked for ([read ~bag]). *)
+let sweep vocab ~range_x tally =
+  let seen = Rule.Tbl.create (max 64 (Rule.Tbl.length tally)) in
+  let set_overlap = ref 0 and set_uncovered = ref [] in
+  let bag_overlap = ref 0 and bag_total = ref 0 and bag_uncovered = ref [] in
+  Rule.Tbl.iter
+    (fun rule n ->
+      let covered =
+        List.fold_left
+          (fun covered g ->
+            let inside = Range.mem g range_x in
+            if not (Rule.Tbl.mem seen g) then begin
+              Rule.Tbl.add seen g ();
+              if inside then incr set_overlap else set_uncovered := g :: !set_uncovered
+            end;
+            covered && inside)
+          true (Rule.ground_rules vocab rule)
+      in
+      bag_total := !bag_total + n;
+      if covered then bag_overlap := !bag_overlap + n
+      else bag_uncovered := (rule, n) :: !bag_uncovered)
+    tally;
+  fun ~bag ->
+    if bag then
+      List.sort (fun (a, _) (b, _) -> Rule.compare a b) !bag_uncovered
+      |> List.concat_map (fun (rule, n) -> List.init n (fun _ -> rule))
+      |> make_stats !bag_overlap !bag_total
+    else
+      make_stats !set_overlap (Rule.Tbl.length seen) (List.sort Rule.compare !set_uncovered)
+
+let of_tally vocab ~range_x tally : readings =
+  let read = sweep vocab ~range_x tally in
+  { set_semantics = read ~bag:false; bag_semantics = read ~bag:true }
+
+let read vocab ~p_x tally = sweep vocab ~range_x:(Range.of_policy vocab p_x) tally
+
+(* Definition 9 verbatim and the Section 5 accounting over P_y as given:
+   every rule of P_y counted, none projected. *)
+let compute vocab ~p_x ~p_y = read vocab ~p_x (count_rules Option.some p_y) ~bag:false
+let compute_bag vocab ~p_x ~p_y = read vocab ~p_x (count_rules Option.some p_y) ~bag:true
+
+(* Project P_x onto the attributes shared with the vocabulary's pattern
+   dimensions and tally P_y's projections, then read the kernel. *)
+let aligned ?(bag = false) vocab ~attrs ~p_x ~p_y : stats =
+  read vocab ~p_x:(Policy.project p_x ~attrs) (tally ~attrs p_y) ~bag
 
 (* Definition 10. *)
 let complete vocab ~p_x ~p_y =

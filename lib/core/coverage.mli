@@ -3,10 +3,16 @@
     Coverage of P_x in relation to P_y is
     [#(Range(P_x) ∩ Range(P_y)) / #Range(P_y)].
 
-    Two denominators coexist in the paper and both are provided:
-    {!compute} is Definition 9 verbatim (ranges are sets — Figure 3's
-    3/6 = 50 %); {!compute_bag} counts each rule occurrence of P_y, which
-    is how Section 5 arrives at 3/10 = 30 % for Table 1. *)
+    Two denominators coexist in the paper and both are provided: set
+    semantics is Definition 9 verbatim (ranges are sets — Figure 3's
+    3/6 = 50 %); bag semantics counts each rule occurrence of P_y, which is
+    how Section 5 arrives at 3/10 = 30 % for Table 1.
+
+    Both readings come from one kernel, {!of_tally}, over a {!tally} of
+    P_y: each distinct rule with its number of occurrences.  Range(P_x) is
+    built once and each distinct rule of P_y grounded once, however long
+    the audit history.  {!compute}, {!compute_bag} and {!aligned} are
+    tally-then-kernel wrappers. *)
 
 type stats = {
   overlap : int;  (** numerator *)
@@ -15,40 +21,45 @@ type stats = {
   uncovered : Rule.t list;  (** the rules of P_y driving the gap *)
 }
 
-val compute : ?uncovered:bool -> Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> stats
-(** Algorithm 1, set semantics.  Policies over different attribute sets
-    never intersect (Definition 6 compares cardinalities) — align them with
-    {!Policy.project} or use {!aligned}.
+type readings = {
+  set_semantics : stats;
+      (** Definition 9: over the distinct ground rules of P_y; [uncovered]
+          is Range(P_y) \ Range(P_x) in {!Rule.compare} order *)
+  bag_semantics : stats;
+      (** Section 5: [overlap] sums the counts of the rules whose whole
+          ground set lies in Range(P_x), [denominator] all counts;
+          [uncovered] repeats each uncovered rule by its count, in
+          {!Rule.compare} order *)
+}
 
-    [uncovered] (default [true]) controls whether the uncovered listing is
-    produced.  With [~uncovered:false] the [uncovered] field is [[]] and
-    Range(P_y) is only counted, never materialised
-    ({!Range.cardinality_of_rules}) — the fast path for monitoring loops
-    that only read the ratio. *)
+val tally : attrs:string list -> Policy.t -> int Rule.Tbl.t
+(** One pass over the policy: each rule projected onto [attrs]
+    ({!Rule.project}; rules with no surviving term drop out) and the
+    occurrences of each projection counted.  The result is a fresh table
+    the caller owns. *)
 
-val compute_bag_counts : Vocabulary.Vocab.t -> p_x:Policy.t -> (Rule.t * int) list -> stats
-(** Bag semantics over P_y given as (rule, occurrences) pairs, counts
-    positive: [overlap] is the sum of the counts of the rules whose whole
-    ground set lies in Range(P_x), [denominator] the sum of all counts.
-    Pairs naming the same rule are merged, so the cover test runs once per
-    distinct rule.  [uncovered] repeats each uncovered rule by its count,
-    in {!Rule.compare} order. *)
+val of_tally : Vocabulary.Vocab.t -> range_x:Range.t -> int Rule.Tbl.t -> readings
+(** The coverage kernel: both readings of P_x (given as its range) in
+    relation to the P_y whose tally is given.  Counts must be positive. *)
+
+val compute : Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> stats
+(** Algorithm 1, set semantics, with every rule of P_y counted as it is.
+    Policies over different attribute sets never intersect (Definition 6
+    compares cardinalities) — align them with {!Policy.project} or use
+    {!aligned}. *)
 
 val compute_bag : Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> stats
-(** Bag semantics over P_y's rule sequence: {!compute_bag_counts} with every
-    rule occurrence counted once. *)
+(** Bag semantics over P_y's rule sequence: every occurrence counts once. *)
 
 val aligned :
   ?bag:bool ->
-  ?uncovered:bool ->
   Vocabulary.Vocab.t ->
   attrs:string list ->
   p_x:Policy.t ->
   p_y:Policy.t ->
   stats
-(** Projects both policies onto [attrs] first, then computes coverage
-    ([bag] defaults to false; [uncovered] as in {!compute}, ignored under
-    bag semantics where the partition is a by-product). *)
+(** Projects P_x onto [attrs] and tallies P_y's projections, then reads the
+    kernel ([bag] defaults to false: set semantics). *)
 
 val complete : Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> bool
 (** Definition 10: Range(P_y) ⊆ Range(P_x). *)

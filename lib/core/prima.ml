@@ -9,7 +9,8 @@ type t = {
   mutable p_ps : Policy.t;
   (* P_AL is forced only by refinement, trends and direct inspection;
      coverage reads [tally], the occurrences of each rule of P_AL projected
-     onto the pattern attributes, and [in_training] reads [p_al_size]. *)
+     onto the pattern attributes, and [in_training] reads [p_al_size].
+     The tally is replaced, never updated in place. *)
   mutable p_al : Policy.t Lazy.t;
   mutable tally : int Rule.Tbl.t;
   mutable p_al_size : int;
@@ -49,41 +50,30 @@ let set_refinement_config t config = t.refinement_config <- config
 
 let pattern_attrs = Vocabulary.Audit_attrs.pattern
 
-let add_count tally rule n =
-  let seen = Option.value (Rule.Tbl.find_opt tally rule) ~default:0 in
-  Rule.Tbl.replace tally rule (seen + n)
-
 let ingest_rules t rules =
-  t.p_al <- Lazy.from_val (Policy.add_rules (audit_policy t) rules);
-  List.iter
-    (fun rule ->
-      Option.iter (fun p -> add_count t.tally p 1) (Rule.project rule ~attrs:pattern_attrs))
-    rules;
+  let p_al = Policy.add_rules (audit_policy t) rules in
+  t.p_al <- Lazy.from_val p_al;
+  t.tally <- Coverage.tally ~attrs:pattern_attrs p_al;
   t.p_al_size <- t.p_al_size + List.length rules
 
 let set_audit t ~tally p_al =
-  let table = Rule.Tbl.create 64 in
-  List.iter (fun (rule, n) -> add_count table rule n) tally;
   t.p_al <- p_al;
-  t.tally <- table;
-  t.p_al_size <- List.fold_left (fun acc (_, n) -> acc + n) 0 tally
+  t.tally <- tally;
+  t.p_al_size <- Rule.Tbl.fold (fun _ n acc -> acc + n) tally 0
 
 let add_store_rule t rule = t.p_ps <- Policy.add_rule t.p_ps rule
 
 (* Both coverage readings of the paper at once. *)
-type coverage_report = {
+type coverage_report = Coverage.readings = {
   set_semantics : Coverage.stats; (* Definition 9 *)
   bag_semantics : Coverage.stats; (* Section 5 accounting *)
 }
 
-(* Coverage.aligned's readings, computed from the tally: set semantics over
-   the distinct projected rules, bag semantics weighted by their counts. *)
+(* Coverage.aligned's readings, read by the kernel straight off the tally. *)
 let coverage t =
-  let p_x = Policy.project t.p_ps ~attrs:pattern_attrs in
-  let counts = Rule.Tbl.fold (fun rule n acc -> (rule, n) :: acc) t.tally [] in
-  { set_semantics = Coverage.compute t.vocab ~p_x ~p_y:(Policy.make (List.map fst counts));
-    bag_semantics = Coverage.compute_bag_counts t.vocab ~p_x counts;
-  }
+  Coverage.of_tally t.vocab
+    ~range_x:(Range.of_policy t.vocab (Policy.project t.p_ps ~attrs:pattern_attrs))
+    t.tally
 
 let in_training t = t.p_al_size < t.training_minimum
 
@@ -112,4 +102,4 @@ let refine ?(completeness = 1.0) ?(verified = true) ?limits t :
   end
 
 (* Drop consumed audit entries (e.g. after an epoch over a sliding window). *)
-let reset_audit t = set_audit t ~tally:[] (Lazy.from_val empty_audit)
+let reset_audit t = set_audit t ~tally:(Rule.Tbl.create 1) (Lazy.from_val empty_audit)

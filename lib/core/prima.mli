@@ -40,32 +40,33 @@ val refinement_config : t -> Refinement.config
 val set_refinement_config : t -> Refinement.config -> unit
 
 val ingest_rules : t -> Rule.t list -> unit
-(** Append audit rules to P_AL (forcing it) and count their projections
-    onto the pattern attributes. *)
+(** Append audit rules to P_AL (forcing it) and re-tally P_AL's
+    projections onto the pattern attributes ({!Coverage.tally}). *)
 
-val set_audit : t -> tally:(Rule.t * int) list -> Policy.t Lazy.t -> unit
+val set_audit : t -> tally:int Rule.Tbl.t -> Policy.t Lazy.t -> unit
 (** Replace P_AL with a lazily built policy, together with its tally: the
-    occurrences of each of its rules projected onto the pattern attributes
-    (repeated rules add up).  The caller guarantees that the tally is
-    exactly that projection and that every rule of P_AL carries a pattern
-    attribute — true of rules built from audit entries — so the tally's
-    total is #P_AL.  {!coverage} then costs O(distinct rules), and the
-    policy is forced only by refinement or {!audit_policy}. *)
+    occurrences of each distinct projection of its rules onto the pattern
+    attributes.  The caller guarantees that the tally is exactly
+    [Coverage.tally ~attrs:pattern P_AL] and that every rule of P_AL
+    carries a pattern attribute — true of rules built from audit entries —
+    so the tally's total is #P_AL.  The table is kept, not copied, and
+    never modified; the caller must not modify it either.  {!coverage}
+    then costs O(distinct rules), and the policy is forced only by
+    refinement or {!audit_policy}. *)
 
 val add_store_rule : t -> Rule.t -> unit
 (** Stakeholder-driven extension of P_PS. *)
 
-type coverage_report = {
+type coverage_report = Coverage.readings = {
   set_semantics : Coverage.stats;  (** Definition 9 *)
   bag_semantics : Coverage.stats;  (** Section 5 accounting *)
 }
 
 val coverage : t -> coverage_report
 (** Both coverage readings over the pattern attributes — the readings of
-    {!Coverage.aligned} on P_PS and P_AL — computed from the tally of
-    projected P_AL rules: {!Coverage.compute} over the distinct ones and
-    {!Coverage.compute_bag_counts} over their counts, so the bag
-    [uncovered] listing is in {!Rule.compare} order. *)
+    {!Coverage.aligned} on P_PS and P_AL — read by the kernel
+    ({!Coverage.of_tally}) straight off the tally of projected P_AL
+    rules. *)
 
 val in_training : t -> bool
 

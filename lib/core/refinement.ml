@@ -58,10 +58,10 @@ type epoch_report = {
 
 (* One refinement epoch: run the pipeline, apply the acceptance policy,
    extend the store, and report coverage (bag semantics over the audit
-   entries, per Section 5) before and after.  The audit policy is projected
-   onto the pattern attributes once and shared by both coverage calls; the
-   second call grounds the same rules as the first plus the accepted
-   patterns, so it runs almost entirely out of the grounding memo. *)
+   entries, per Section 5) before and after.  P_AL is tallied once onto the
+   pattern attributes and both readings come from that tally; the second
+   grounds the same distinct rules as the first, out of the grounding
+   memo. *)
 let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true) ~vocab
     ~p_ps ~p_al () : epoch_report =
   let attrs = Vocabulary.Audit_attrs.pattern in
@@ -77,13 +77,12 @@ let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true
   let useful = Prune.run vocab ~patterns ~p_ps in
   let accepted = accept config.acceptance useful in
   let p_ps' = Policy.add_rules p_ps accepted in
-  let p_al_proj = Policy.project p_al ~attrs in
-  let coverage_before =
-    Coverage.compute_bag vocab ~p_x:(Policy.project p_ps ~attrs) ~p_y:p_al_proj
+  let tally = Coverage.tally ~attrs p_al in
+  let bag_coverage p =
+    (Coverage.of_tally vocab ~range_x:(Range.of_policy vocab (Policy.project p ~attrs)) tally)
+      .Coverage.bag_semantics
   in
-  let coverage_after =
-    Coverage.compute_bag vocab ~p_x:(Policy.project p_ps' ~attrs) ~p_y:p_al_proj
-  in
+  let coverage_before = bag_coverage p_ps and coverage_after = bag_coverage p_ps' in
   Log.info (fun m ->
       m "epoch: %d practice entries, %d patterns, %d useful, %d accepted, coverage %.0f%% -> %.0f%%"
         (Policy.cardinality practice) (List.length patterns) (List.length useful)

@@ -23,7 +23,12 @@ val compute :
   unit ->
   point list
 (** Buckets audit rules by timestamp into consecutive windows of [window]
-    ticks; rules without a readable [time] attribute are ignored.
+    ticks, starting at the earliest timestamp, and reports the windows
+    that hold at least one rule, in time order: an empty window between
+    two busy ones is skipped, never reported as vacuous coverage.  Rules
+    without a readable [time] attribute are ignored.  Range(P_ps) is built
+    once; each window is one {!Coverage.tally} read by
+    {!Coverage.of_tally}.
     @raise Invalid_argument when [window <= 0]. *)
 
 val to_series : point list -> (string * float) list

@@ -293,10 +293,6 @@ let completeness t =
   | Some h -> h.Audit_mgmt.Health.completeness
   | None -> 1.0
 
-let coverage t =
-  ignore (sync_audit t);
-  Prima_core.Prima.coverage t.prima
-
 (* Both coverage readings, each labelled with how much of the trail they
    were computed from. *)
 type qualified_coverage = {

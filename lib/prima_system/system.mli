@@ -193,9 +193,6 @@ val sync_audit : t -> Audit_mgmt.Health.t
     snapshot when {!trend}, {!refine} or
     {!Prima_core.Prima.audit_policy} first needs it. *)
 
-val coverage : t -> Prima_core.Prima.coverage_report
-(** Syncs, then reports both coverage readings (unqualified). *)
-
 type qualified_coverage = {
   set_semantics : Prima_core.Coverage.qualified;
   bag_semantics : Prima_core.Coverage.qualified;

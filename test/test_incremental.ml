@@ -5,7 +5,8 @@
    counts up over a fresh delta — plus a reseat onto a rebuilt store, a
    mid-stream vocabulary edit and one fault-wrapped member, and checks
    each reading against Coverage.aligned over the eager P_AL of the
-   trusted consolidated view. *)
+   trusted consolidated view — and, since the coverage kernel sits on both
+   sides of that comparison, against a recompute on Range_reference. *)
 
 module Sys_ = Prima_system.System
 module Fed = Audit_mgmt.Federation
@@ -78,7 +79,28 @@ let eager_p_al r =
   Prima_core.Policy.rules
     (Audit_mgmt.To_policy.policy_of_entries (Fed.consolidated (Sys_.federation r.sys)))
 
-(* One reading against Coverage.aligned over the eager P_AL. *)
+(* Both readings recomputed on the seed's set-based Range, independent of
+   the coverage kernel: set semantics from range algebra, bag semantics
+   from one cover test per occurrence. *)
+let reference ~bag vocab ~p_x ~p_y =
+  let module Ref = Prima_core.Range_reference in
+  let p_x = Prima_core.Policy.project p_x ~attrs in
+  let p_y = Prima_core.Policy.project p_y ~attrs in
+  let range_x = Ref.of_policy vocab p_x in
+  if bag then begin
+    let rules = Prima_core.Policy.rules p_y in
+    let uncovered = List.filter (fun r -> not (Ref.covers vocab range_x r)) rules in
+    (List.length rules - List.length uncovered, List.length rules, uncovered)
+  end
+  else begin
+    let range_y = Ref.of_policy vocab p_y in
+    ( Ref.cardinality (Ref.inter range_x range_y),
+      Ref.cardinality range_y,
+      Ref.elements (Ref.diff range_y range_x) )
+  end
+
+(* One reading against Coverage.aligned over the eager P_AL, and against
+   the Range_reference recompute. *)
 let read_ok r ~late =
   let ok_late =
     match r.late with
@@ -94,10 +116,14 @@ let read_ok r ~late =
   let p_y = Prima_core.Policy.make p_al in
   let agrees ~bag (got : C.qualified) =
     let want = C.aligned ~bag vocab ~attrs ~p_x ~p_y in
+    let overlap, denominator, uncovered = reference ~bag vocab ~p_x ~p_y in
     let got = got.C.stats in
     got.C.overlap = want.C.overlap
     && got.C.denominator = want.C.denominator
     && sorted_strings got.C.uncovered = sorted_strings want.C.uncovered
+    && got.C.overlap = overlap
+    && got.C.denominator = denominator
+    && sorted_strings got.C.uncovered = sorted_strings uncovered
   in
   let ok_now =
     if late then begin

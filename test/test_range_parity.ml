@@ -1,5 +1,5 @@
-(* Differential tests: the hash-backed Range and the memoized coverage
-   fast paths must agree *exactly* with the seed's set-based implementation
+(* Differential tests: the hash-backed Range and the coverage kernel must
+   agree *exactly* with the seed's set-based implementation
    (kept as Prima_core.Range_reference) — on randomly generated
    vocabularies and policies (seeded via Workload.Prng, so failures are
    reproducible bit-for-bit), and on the paper's own Section 5 walkthrough
@@ -126,29 +126,36 @@ let assert_parity prng vocab =
     check_bool "intersects" (Ref_range.intersects vocab ref_a probe)
       (Range.intersects vocab hash_a probe)
   done;
-  (* the non-materialising counters *)
-  check_int "cardinality_of_rules"
-    (Ref_range.cardinality ref_b)
-    (Range.cardinality_of_rules vocab (P.rules p_b));
-  check_int "cardinality_of_rules ~within"
-    (Ref_range.cardinality (Ref_range.inter ref_a ref_b))
-    (Range.cardinality_of_rules ~within:hash_a vocab (P.rules p_b));
-  (* coverage, both semantics, both paths *)
+  (* coverage, both semantics *)
   let expected = ref_stats vocab ~p_x:p_a ~p_y:p_b in
   let got = C.compute vocab ~p_x:p_a ~p_y:p_b in
   check_int "coverage overlap" expected.C.overlap got.C.overlap;
   check_int "coverage denominator" expected.C.denominator got.C.denominator;
   Alcotest.(check (float 0.)) "coverage ratio" expected.C.coverage got.C.coverage;
   check_rules "coverage uncovered" expected.C.uncovered got.C.uncovered;
-  let fast = C.compute ~uncovered:false vocab ~p_x:p_a ~p_y:p_b in
-  check_int "fast overlap" expected.C.overlap fast.C.overlap;
-  check_int "fast denominator" expected.C.denominator fast.C.denominator;
-  check_rules "fast uncovered empty" [] fast.C.uncovered;
   let expected_bag = ref_bag_stats vocab ~p_x:p_a ~p_y:p_b in
   let got_bag = C.compute_bag vocab ~p_x:p_a ~p_y:p_b in
   check_int "bag overlap" expected_bag.C.overlap got_bag.C.overlap;
   check_int "bag denominator" expected_bag.C.denominator got_bag.C.denominator;
-  check_rules "bag uncovered" expected_bag.C.uncovered got_bag.C.uncovered
+  check_rules "bag uncovered" expected_bag.C.uncovered got_bag.C.uncovered;
+  (* the kernel read directly off a tally whose rules repeat and are
+     composite (random rules name interior taxonomy values): P_y is p_b
+     followed by a random draw of its own rules again.  Projecting onto
+     every attribute keeps each rule as it is. *)
+  let rules_b = P.rules p_b in
+  let repeats =
+    if rules_b = [] then [] else List.init (Prng.int prng 10) (fun _ -> Prng.pick prng rules_b)
+  in
+  let p_y = P.make (rules_b @ repeats) in
+  let kernel = C.of_tally vocab ~range_x:hash_a (C.tally ~attrs p_y) in
+  let check_reading label (expected : C.stats) (got : C.stats) =
+    check_int (label ^ " overlap") expected.C.overlap got.C.overlap;
+    check_int (label ^ " denominator") expected.C.denominator got.C.denominator;
+    Alcotest.(check (float 0.)) (label ^ " ratio") expected.C.coverage got.C.coverage;
+    check_rules (label ^ " uncovered") expected.C.uncovered got.C.uncovered
+  in
+  check_reading "kernel set" (ref_stats vocab ~p_x:p_a ~p_y) kernel.C.set_semantics;
+  check_reading "kernel bag" (ref_bag_stats vocab ~p_x:p_a ~p_y) kernel.C.bag_semantics
 
 let test_random_parity seed () =
   let prng = Prng.create ~seed in
@@ -181,9 +188,7 @@ let test_figure3_walkthrough () =
   check_int "Figure 3 overlap 3" 3 stats.C.overlap;
   check_int "Figure 3 denominator 6" 6 stats.C.denominator;
   let expected = ref_stats vocab ~p_x ~p_y in
-  check_rules "reference agrees (uncovered)" expected.C.uncovered stats.C.uncovered;
-  let fast = C.compute ~uncovered:false vocab ~p_x ~p_y in
-  check_int "fast path agrees" expected.C.overlap fast.C.overlap
+  check_rules "reference agrees (uncovered)" expected.C.uncovered stats.C.uncovered
 
 (* Re-running coverage against the *same* vocabulary must keep hitting the
    memo without drifting: same numbers on every repetition. *)

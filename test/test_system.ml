@@ -54,9 +54,8 @@ let test_closed_loop_exception_becomes_regular () =
   (* Nurses repeatedly need referral data for registration: denied by the
      seeded policy, so they break the glass.  5+ times, several users. *)
   List.iter (btg_registration system) [ "mark"; "tim"; "bob"; "mark"; "olga"; "mark" ];
-  let before = Sys_.coverage system in
-  check_bool "coverage below 1" true
-    (before.Prima_core.Prima.bag_semantics.Prima_core.Coverage.coverage < 1.0);
+  let before = (Sys_.coverage_qualified system).Sys_.bag_semantics.Prima_core.Coverage.stats in
+  check_bool "coverage below 1" true (before.Prima_core.Coverage.coverage < 1.0);
   (match Sys_.refine system with
   | Ok report ->
     check_int "pattern adopted" 1 (List.length report.Prima_core.Refinement.accepted)
@@ -70,10 +69,9 @@ let test_closed_loop_exception_becomes_regular () =
     check_bool "regular now" false outcome.Hdb.Enforcement.break_glass;
     check_bool "nothing masked" true (outcome.Hdb.Enforcement.masked_columns = [])
   | Error e -> Alcotest.failf "still denied: %s" (Hdb.Enforcement.error_to_string e));
-  let after = Sys_.coverage system in
+  let after = (Sys_.coverage_qualified system).Sys_.bag_semantics.Prima_core.Coverage.stats in
   check_bool "coverage improved" true
-    (after.Prima_core.Prima.bag_semantics.Prima_core.Coverage.coverage
-    > before.Prima_core.Prima.bag_semantics.Prima_core.Coverage.coverage)
+    (after.Prima_core.Coverage.coverage > before.Prima_core.Coverage.coverage)
 
 let test_refinement_ignores_rare_exceptions () =
   let system = make_system () in

@@ -48,6 +48,42 @@ let test_window_validation () =
         (T.compute vocab ~p_ps:(S.policy_store ()) ~p_al:(S.table1_audit_policy ())
            ~window:0 ()))
 
+(* Table 1's trail with every timestamp moved by [dt] ticks. *)
+let table1_shifted dt =
+  let time = Vocabulary.Audit_attrs.time in
+  List.map
+    (fun rule ->
+      Prima_core.Rule.of_assoc
+        (List.map
+           (fun (attr, v) ->
+             if String.equal attr time then (attr, string_of_int (int_of_string v + dt))
+             else (attr, v))
+           (Prima_core.Rule.to_assoc rule)))
+    (P.rules (S.table1_audit_policy ()))
+
+(* A trail spanning 10^12 ticks in three rules: one window per occupied
+   bucket, never one slot per tick of the span. *)
+let test_sparse_span () =
+  let first dt = List.hd (table1_shifted dt) in
+  let rules = [ first 0; first 0; first (1_000_000_000_000 - 1) ] in
+  let points =
+    T.compute vocab ~p_ps:(S.policy_store ()) ~p_al:(P.make rules) ~window:1 ()
+  in
+  check_int "two occupied windows" 2 (List.length points);
+  check_int "first at t1" 1 (List.hd points).T.window_start;
+  check_int "second at t10^12" 1_000_000_000_000 (List.nth points 1).T.window_start;
+  check_int "entries" 3 (List.fold_left (fun acc p -> acc + p.T.entries) 0 points)
+
+(* Two windows reading the same 30% with nine empty windows between them:
+   the gap is no reading at all, so the trend is flat, not drifting. *)
+let test_gap_windows_skipped () =
+  let p_al = P.make (table1_shifted 0 @ table1_shifted 100) in
+  let points = T.compute vocab ~p_ps:(S.policy_store ()) ~p_al ~window:10 () in
+  check_int "only occupied windows" 2 (List.length points);
+  check_int "second window starts at t101" 101 (List.nth points 1).T.window_start;
+  List.iter (fun p -> check_float "30% each" 0.3 p.T.stats.C.coverage) points;
+  check_bool "flat trend is not drifting" false (T.drifting points)
+
 let test_drift_detection () =
   let p_al = S.table1_audit_policy () in
   let points = T.compute vocab ~p_ps:(S.policy_store ()) ~p_al ~window:5 () in
@@ -122,6 +158,8 @@ let () =
           Alcotest.test_case "single window = global" `Quick test_single_window_matches_global;
           Alcotest.test_case "empty/untimed" `Quick test_empty_and_untimed;
           Alcotest.test_case "validation" `Quick test_window_validation;
+          Alcotest.test_case "sparse span" `Quick test_sparse_span;
+          Alcotest.test_case "gap windows skipped" `Quick test_gap_windows_skipped;
           Alcotest.test_case "drift detection" `Quick test_drift_detection;
           Alcotest.test_case "drift resolved by refinement" `Quick
             test_drift_resolved_after_refinement;
