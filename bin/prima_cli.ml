@@ -370,7 +370,7 @@ let build_faulty_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_
         Audit_mgmt.Site.create ~name:(Printf.sprintf "site-%d" (i + 1)) ())
   in
   List.iteri
-    (fun i e -> Audit_mgmt.Site.ingest_entry (List.nth sites (i mod nsites)) e)
+    (fun i e -> Audit_mgmt.Site.ingest_entries (List.nth sites (i mod nsites)) [ e ])
     entries;
   let fed = Audit_mgmt.Federation.create ~seed () in
   let config =

@@ -28,29 +28,30 @@ let () =
       ()
   in
   let legacy = Audit_mgmt.Site.create ~mapping ~name:"radiology-legacy" () in
-  List.iter
-    (Audit_mgmt.Site.ingest_raw legacy)
-    [ [ ("ts", "6"); ("action", "GRANTED"); ("who", "Jason"); ("category", "RX");
-        ("reason", "Billing"); ("role", "Clerk"); ("mode", "BTG") ];
-      [ ("ts", "7"); ("action", "GRANTED"); ("who", "Mark"); ("category", "Referral");
-        ("reason", "Registration"); ("role", "RN"); ("mode", "BTG") ];
-      [ ("ts", "8"); ("action", "GRANTED"); ("who", "Tim"); ("category", "Referral");
-        ("reason", "Registration"); ("role", "RN"); ("mode", "BTG") ];
-      [ ("ts", "9"); ("action", "GRANTED"); ("who", "Bob"); ("category", "Referral");
-        ("reason", "Registration"); ("role", "RN"); ("mode", "BTG") ];
-      [ ("ts", "10"); ("action", "GRANTED"); ("who", "Mark"); ("category", "Referral");
-        ("reason", "Registration"); ("role", "RN"); ("mode", "BTG") ];
-    ];
+  ignore
+    (Audit_mgmt.Site.ingest_raw_batch legacy
+      [ [ ("ts", "6"); ("action", "GRANTED"); ("who", "Jason"); ("category", "RX");
+          ("reason", "Billing"); ("role", "Clerk"); ("mode", "BTG") ];
+        [ ("ts", "7"); ("action", "GRANTED"); ("who", "Mark"); ("category", "Referral");
+          ("reason", "Registration"); ("role", "RN"); ("mode", "BTG") ];
+        [ ("ts", "8"); ("action", "GRANTED"); ("who", "Tim"); ("category", "Referral");
+          ("reason", "Registration"); ("role", "RN"); ("mode", "BTG") ];
+        [ ("ts", "9"); ("action", "GRANTED"); ("who", "Bob"); ("category", "Referral");
+          ("reason", "Registration"); ("role", "RN"); ("mode", "BTG") ];
+        [ ("ts", "10"); ("action", "GRANTED"); ("who", "Mark"); ("category", "Referral");
+          ("reason", "Registration"); ("role", "RN"); ("mode", "BTG") ];
+      ]);
 
   let fed = F.of_sites [ main; legacy ] in
   Fmt.pr "%a@." F.pp fed;
 
   Fmt.pr "Consolidated virtual view (time-ordered):@.";
-  List.iter (fun e -> Fmt.pr "  %a@." Hdb.Audit_schema.pp e) (F.consolidated fed);
+  let entries = (F.consolidated_result fed).F.entries in
+  List.iter (fun e -> Fmt.pr "  %a@." Hdb.Audit_schema.pp e) entries;
 
   (* The consolidated view is P_AL; refine against the Figure 3(a) store. *)
   let p_ps = Workload.Scenario.policy_store () in
-  let p_al = F.to_policy fed in
+  let p_al = Audit_mgmt.To_policy.policy_of_entries entries in
   let report = Prima_core.Refinement.run_epoch ~vocab ~p_ps ~p_al () in
   Fmt.pr "@.Refinement over the federation:@.";
   Prima_core.Report.pp_epoch Fmt.stdout report;

@@ -485,11 +485,3 @@ let stats t = List.map stats_of_cls t.order
 
 let stats_of_class t name =
   Option.map stats_of_cls (Hashtbl.find_opt t.by_name name)
-
-let reset_counters t =
-  List.iter
-    (fun c ->
-      c.n_admitted <- 0;
-      c.n_brownouts <- 0;
-      c.n_shed <- 0)
-    t.order

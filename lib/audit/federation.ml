@@ -1,22 +1,17 @@
 (* The PRIMA Audit Management component: a consolidated virtual view over
    every site's audit trail (the role DB2 Information Integrator plays in
    the paper's first instantiation).  Entries are merged by timestamp with
-   a k-way min-heap merge; per-site logs are append-ordered so each is
-   already sorted, and out-of-order sites are sorted defensively.
+   a tournament merge; per-site logs are append-ordered so each is already
+   sorted, and out-of-order sites are sorted defensively.
 
-   Two consolidation paths coexist:
-
-   - [consolidated] is the trusted direct view — it reads every site's
-     store in-process and cannot fail; it is also the fault-free baseline
-     the fault-matrix suite compares against;
-   - [consolidated_view] is the production path: each site is fetched
-     through its fault wrapper (if any) under retry/backoff, gated by a
-     per-site circuit breaker, with corrupted records quarantined — and the
-     result carries a health report accounting for 100% of input records
-     (delivered + quarantined + stranded at skipped sites) plus the
-     completeness fraction downstream coverage must surface.  It yields
-     pattern counts eagerly and the merged entries lazily;
-     [consolidated_result] forces them. *)
+   [consolidated_view] is the one consolidation: each site is fetched
+   through its fault wrapper (if any) under retry/backoff, gated by a
+   per-site circuit breaker, with corrupted records quarantined — and the
+   result carries a health report accounting for 100% of input records
+   (delivered + quarantined + stranded at skipped sites) plus the
+   completeness fraction downstream coverage must surface.  It yields
+   pattern counts eagerly and the merged entries lazily;
+   [consolidated_result] forces them. *)
 
 type member = {
   mutable msite : Site.t; (* mutable so a crash-recovered site can be reseated *)
@@ -27,7 +22,7 @@ type member = {
 type t = {
   mutable members : member list;
   clock : int ref; (* simulated ms; advanced by retries and fetch latency *)
-  mutable retry : Retry.policy;
+  retry : Retry.policy;
   prng : Splitmix.t; (* jitter stream for retry backoff *)
   transit : Quarantine.t; (* records corrupted in transit, latest fetch *)
   (* The durable consolidated archive (optional): successful fetches are
@@ -138,10 +133,6 @@ let clock t = !(t.clock)
 
 let advance_clock t ms = t.clock := !(t.clock) + ms
 
-let retry_policy t = t.retry
-
-let set_retry_policy t policy = t.retry <- policy
-
 let transit_quarantine t = t.transit
 
 let total_entries t =
@@ -162,19 +153,12 @@ let sort_defensively entries =
       (fun a b -> Int.compare a.Hdb.Audit_schema.time b.Hdb.Audit_schema.time)
       entries
 
-let sorted_entries site = sort_defensively (Site.entries site)
-
 (* Merge per-site streams (already sorted) into one time-ordered list —
    a tournament merge keyed (time, site index): ties resolve in site
    order and within a site records keep append order, so the merge is
    stable and deterministic (pinned by the QCheck parity test against a
    global stable sort). *)
 let merge_streams = Tournament.merge_entries
-
-(* The trusted direct view: reads every store in-process, never fails.
-   Also the fault-free baseline for the fault-matrix suite. *)
-let consolidated t : Hdb.Audit_schema.entry list =
-  merge_streams (List.map sorted_entries (sites t))
 
 (* One member's contribution to a consolidation.  A fault-free member
    contributes its store and the length it had at consolidation: the
@@ -238,7 +222,7 @@ type result_t = {
   health : Health.t;
 }
 
-(* The production path: breaker-gated, retried fetches; corrupted records
+(* The one consolidation: breaker-gated, retried fetches; corrupted records
    quarantined; a health report accounting for every input record.
 
    With an archive attached, a successful fetch is archived into the
@@ -357,15 +341,6 @@ let consolidated_view t : view =
 let consolidated_result t : result_t =
   let view = consolidated_view t in
   { entries = Lazy.force view.entries; health = view.health }
-
-(* The consolidated view as P_AL. *)
-let to_policy t : Prima_core.Policy.t = To_policy.policy_of_entries (consolidated t)
-
-(* Entries within a time window — e.g. one refinement epoch. *)
-let window t ~time_from ~time_to =
-  List.filter
-    (fun e -> e.Hdb.Audit_schema.time >= time_from && e.Hdb.Audit_schema.time <= time_to)
-    (consolidated t)
 
 let pp ppf t =
   Fmt.pf ppf "federation of %d sites, %d entries@." (List.length t.members)

@@ -2,14 +2,11 @@
     every site's audit trail — the role DB2 Information Integrator plays in
     the paper's first instantiation.
 
-    Two consolidation paths coexist: {!consolidated} is the trusted direct
-    view (in-process reads, cannot fail — also the fault-free baseline for
-    the fault-matrix suite), while {!consolidated_view} is the production
-    path — breaker-gated, retried fetches through each site's fault wrapper,
-    corrupted records quarantined, and a {!Health.t} report accounting for
-    100% of input records — which yields per-triple pattern counts at once
-    and the merged entries only on demand ({!consolidated_result} forces
-    them). *)
+    {!consolidated_view} is the one consolidation — breaker-gated, retried
+    fetches through each site's fault wrapper, corrupted records
+    quarantined, and a {!Health.t} report accounting for 100% of input
+    records — which yields per-triple pattern counts at once and the
+    merged entries only on demand ({!consolidated_result} forces them). *)
 
 type t
 
@@ -72,19 +69,12 @@ val clock : t -> int
 (** The simulated millisecond clock retries and breaker cooldowns run on. *)
 
 val advance_clock : t -> int -> unit
-val retry_policy : t -> Retry.policy
-val set_retry_policy : t -> Retry.policy -> unit
 
 val transit_quarantine : t -> Quarantine.t
 (** Records corrupted in transit during the latest fetch of each site; a
     later clean fetch of the site clears its items. *)
 
 val total_entries : t -> int
-
-val consolidated : t -> Hdb.Audit_schema.entry list
-(** Tournament merge of the per-site streams by timestamp; ties resolve
-    in site order (stable and deterministic).  Out-of-order site logs are
-    sorted defensively.  Direct in-process reads: never fails. *)
 
 type view = {
   health : Health.t;
@@ -93,7 +83,9 @@ type view = {
           among the delivered entries, keyed by {!To_policy.pattern_rule}:
           the {!Prima_core.Coverage.tally} of the entries' P_AL *)
   entries : Hdb.Audit_schema.entry list Lazy.t;
-      (** the delivered entries, merged as {!consolidated} merges them *)
+      (** the delivered entries: a tournament merge of the per-site
+          streams by timestamp, ties in site order (stable and
+          deterministic); out-of-order site logs are sorted defensively *)
 }
 (** One consolidation whose entries are not yet copied out.  A fault-free
     member (no fault wrapper, no archive attached) contributes its store
@@ -105,7 +97,7 @@ type view = {
     built from that list. *)
 
 val consolidated_view : t -> view
-(** The production path: each site fetched through its fault wrapper (if
+(** The one consolidation: each site fetched through its fault wrapper (if
     any) under retry/backoff, gated by its circuit breaker; corrupted
     records quarantined.  Never raises — failures degrade the health report
     instead: delivered + quarantined + stranded = 100% of known input.
@@ -122,12 +114,5 @@ type result_t = {
 
 val consolidated_result : t -> result_t
 (** {!consolidated_view} with its entries forced. *)
-
-val to_policy : t -> Prima_core.Policy.t
-(** The consolidated view as P_AL. *)
-
-val window : t -> time_from:int -> time_to:int -> Hdb.Audit_schema.entry list
-(** Consolidated entries within an inclusive time window — e.g. one
-    refinement epoch. *)
 
 val pp : Format.formatter -> t -> unit

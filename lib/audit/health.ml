@@ -97,8 +97,6 @@ let complete t = t.completeness >= 1.0
 
 let durably_degraded t = t.degraded_sites > 0
 
-let skipped_sites t = List.filter (fun s -> not (site_ok s)) t.sites
-
 let skip_reason_to_string = function
   | Breaker_open -> "breaker open"
   | Fetch_failed why -> Printf.sprintf "fetch failed (%s)" why

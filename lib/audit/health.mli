@@ -79,7 +79,6 @@ val durably_degraded : t -> bool
 
 val site_ok : site_health -> bool
 val site_durably_degraded : site_health -> bool
-val skipped_sites : t -> site_health list
 val skip_reason_to_string : skip_reason -> string
 val pp_status : Format.formatter -> site_status -> unit
 val pp_site : Format.formatter -> site_health -> unit

@@ -2,7 +2,7 @@
    checksummed shard manifest.
 
    Every shard is one {!Durable.Log} holding the wire-encoded entries of
-   one site for one time bucket ([bucket_ms] wide); the manifest
+   one site for one time bucket ([bucket_width] ms wide); the manifest
    ({!Durable.Manifest}) is rewritten — after the shards are synced — at
    every durability point, cataloguing each shard's record count and
    chain head.  Open-or-recover semantics degrade per shard, never
@@ -49,7 +49,6 @@ type shard = {
 
 type t = {
   seed : int;
-  bucket_ms : int;
   manifest_device : Durable.Device.t;
   mutable shards : shard list; (* site-major, buckets ascending per site *)
   mutable next_shard_seed : int;
@@ -85,19 +84,15 @@ let parse_shard_name name =
     | Some bucket -> Some (site, bucket)
     | None -> None)
 
-let default_bucket_ms = 10_000
+(* Milliseconds of entry time per shard. *)
+let bucket_width = 10_000
 
-let create ?(bucket_ms = default_bucket_ms) ?(seed = 0) () =
+let create ?(seed = 0) () =
   { seed;
-    bucket_ms;
     manifest_device = Durable.Device.create ~seed:(seed * 7 + 1) ();
     shards = [];
     next_shard_seed = seed * 7 + 2;
   }
-
-let bucket_ms t = t.bucket_ms
-
-let bucket_of t time = if t.bucket_ms <= 0 then 0 else time / t.bucket_ms
 
 let manifest_device t = t.manifest_device
 
@@ -200,7 +195,7 @@ let shard_for t ~site ~bucket =
     s
 
 let append_entry t ~site entry =
-  let s = shard_for t ~site ~bucket:(bucket_of t entry.Hdb.Audit_schema.time) in
+  let s = shard_for t ~site ~bucket:(entry.Hdb.Audit_schema.time / bucket_width) in
   ignore (Durable.Log.append s.log (Hdb.Audit_schema.to_wire entry));
   s.tail <- entry :: s.tail;
   s.records <- s.records + 1
@@ -325,7 +320,7 @@ let recover_shard ~name ~site ~bucket ~log ~expected =
    "directory listing" of shard devices [(name, wal, snapshot)].  A
    readable manifest anchors per-shard expectations; an unreadable one is
    rebuilt from the shard scans. *)
-let reopen ?(bucket_ms = default_bucket_ms) ?(seed = 0) ~manifest ~shards () =
+let reopen ?(seed = 0) ~manifest ~shards () =
   let catalogue, manifest_rebuilt =
     match Durable.Manifest.read manifest with
     | Ok (Some m) -> (Some m, false)
@@ -334,7 +329,6 @@ let reopen ?(bucket_ms = default_bucket_ms) ?(seed = 0) ~manifest ~shards () =
   in
   let t =
     { seed;
-      bucket_ms;
       manifest_device = manifest;
       shards = [];
       next_shard_seed = (seed * 7) + 2 + List.length shards;

@@ -21,10 +21,8 @@ type t
 
 val status_to_string : status -> string
 
-val default_bucket_ms : int
-val create : ?bucket_ms:int -> ?seed:int -> unit -> t
-val bucket_ms : t -> int
-val bucket_of : t -> int -> int
+val create : ?seed:int -> unit -> t
+(** An empty archive; each shard holds 10 s of entry time. *)
 
 val manifest_device : t -> Durable.Device.t
 
@@ -86,7 +84,6 @@ type open_report = {
 }
 
 val reopen :
-  ?bucket_ms:int ->
   ?seed:int ->
   manifest:Durable.Device.t ->
   shards:(string * Durable.Device.t * Durable.Device.t) list ->

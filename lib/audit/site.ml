@@ -178,10 +178,6 @@ let apply_mark t seq = Hashtbl.replace t.processed seq ()
    'N' op that covered it was lost past the torn tail. *)
 let witness_seq t seq = if seq >= t.next_seq then t.next_seq <- seq + 1
 
-let ingest_entry t entry =
-  log_op t (encode_entry entry);
-  apply_entry t entry
-
 (* The whole batch is encoded before any of it is logged or applied, so an
    entry the codec refuses raises with nothing touched. *)
 let encode_batch entries = List.map (fun entry -> (encode_entry entry, entry)) entries
@@ -194,9 +190,6 @@ let apply_batch t batch =
     batch
 
 let ingest_entries t entries = apply_batch t (encode_batch entries)
-
-(* @raise Mapping.Unmappable on malformed raw records. *)
-let ingest_raw t raw = ingest_entry t (Mapping.apply t.mapping raw)
 
 type ingest_summary = {
   ingested : int;
@@ -251,10 +244,6 @@ let ingest_raw_batch ?first_seq t raws =
       (empty_summary, first) raws
   in
   summary
-
-(* Fresh records at the next sequence numbers; never raises — failures are
-   quarantined per record. *)
-let ingest_raw_all t raws = ingest_raw_batch t raws
 
 (* {2 Admitted ingestion} — the tenant gate in front of the mutation path.
 

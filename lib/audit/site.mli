@@ -34,18 +34,11 @@ val length : t -> int
 val next_seq : t -> int
 (** The sequence number the next fresh raw record will receive. *)
 
-val ingest_entry : t -> Hdb.Audit_schema.entry -> unit
-
 val ingest_entries : t -> Hdb.Audit_schema.entry list -> unit
 (** All-or-nothing: the whole batch is encoded before any of it is logged
     or applied.
     @raise Invalid_argument when an entry does not encode (a field over
     65535 bytes); nothing of the batch is applied then. *)
-
-val ingest_raw : t -> (string * string) list -> unit
-(** Legacy single-record path: a raw record through the site's mapping,
-    bypassing sequence accounting.
-    @raise Mapping.Unmappable on malformed records. *)
 
 type ingest_summary = {
   ingested : int;
@@ -64,9 +57,6 @@ val ingest_raw_batch :
     retries.  Never raises — malformed records (unmappable, or with a
     field too long for the wire codec) are quarantined per record with
     the reason, leaving the rest of the batch ingested. *)
-
-val ingest_raw_all : t -> (string * string) list list -> ingest_summary
-(** [ingest_raw_batch] at the next fresh sequence numbers. *)
 
 (** {2 Admitted ingestion} — the tenant gate in front of the mutation
     path.  Ingestion is a {!Admission.Mutation}, so it is never browned

@@ -26,12 +26,16 @@ let merge_cursors ~(key : 'a -> int) (cursors : 'a cursor list) : 'a list =
   let k = Array.length cursors in
   if k = 0 then []
   else begin
-    let head_key c = match c.rest with [] -> max_int | x :: _ -> key x in
-    (* Does cursor [i] sort strictly before cursor [j]?  Exhausted cursors
-       key at max_int and sink to the bottom of the bracket. *)
+    (* Does cursor [i] sort strictly before cursor [j]?  An exhausted
+       cursor loses to every live one: no key can serve as a sentinel,
+       since every int, max_int included, is a valid record key. *)
     let less i j =
-      let ki = head_key cursors.(i) and kj = head_key cursors.(j) in
-      ki < kj || (ki = kj && cursors.(i).priority < cursors.(j).priority)
+      match (cursors.(i).rest, cursors.(j).rest) with
+      | [], _ -> false
+      | _ :: _, [] -> true
+      | x :: _, y :: _ ->
+        let ki = key x and kj = key y in
+        ki < kj || (ki = kj && cursors.(i).priority < cursors.(j).priority)
     in
     let p = ref 1 in
     while !p < k do p := !p * 2 done;

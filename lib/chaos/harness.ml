@@ -612,7 +612,7 @@ let check_consolidate h =
     violate "no-loss" "consolidated window is not a sub-multiset of the model trail";
   (* invariant 3: coverage bounds + label discipline *)
   let mset, mbag = Model.coverage h.model in
-  let check_sem name (s : Prima_core.Coverage.qualified) (m : Prima_core.Coverage.stats) =
+  let check_sem name (s : Prima_core.Coverage.qualified) (m : Model.reading) =
     let st = s.Prima_core.Coverage.stats in
     if st.overlap > m.overlap then
       violate "coverage-bound" "%s overlap %d exceeds model's exact %d" name st.overlap
@@ -1404,7 +1404,7 @@ let epilogue h =
   let check_parity () =
     let qc = Sys_.coverage_qualified h.sys in
     let mset, mbag = Model.coverage h.model in
-    let same (s : Prima_core.Coverage.qualified) (m : Prima_core.Coverage.stats) =
+    let same (s : Prima_core.Coverage.qualified) (m : Model.reading) =
       let st = s.Prima_core.Coverage.stats in
       st.overlap = m.overlap && st.denominator = m.denominator
     in

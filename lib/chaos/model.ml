@@ -95,13 +95,37 @@ let total_entries t =
 
 let trail_policy t = Audit_mgmt.To_policy.policy_of_entries (consolidated t)
 
-(* Both coverage readings over the full trail, same projection the system
-   uses (the three pattern attributes). *)
+type reading = { overlap : int; denominator : int }
+
+(* Both coverage readings over the full trail, recomputed from the raw
+   entries: each entry's (data, purpose, authorized) triple counted, and
+   ranges through the seed's set-based Range_reference — not the coverage
+   kernel, To_policy or Range the system reads through. *)
 let coverage t =
-  let attrs = Vocabulary.Audit_attrs.pattern in
-  let p_y = trail_policy t in
-  ( Prima_core.Coverage.aligned ~bag:false t.vocab ~attrs ~p_x:t.p_ps ~p_y,
-    Prima_core.Coverage.aligned ~bag:true t.vocab ~attrs ~p_x:t.p_ps ~p_y )
+  let module A = Vocabulary.Audit_attrs in
+  let module R = Prima_core.Range_reference in
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Hdb.Audit_schema.entry) ->
+      let k = (e.data, e.purpose, e.authorized) in
+      Hashtbl.replace counts k (1 + Option.value (Hashtbl.find_opt counts k) ~default:0))
+    (consolidated t);
+  let triples =
+    Hashtbl.fold
+      (fun (data, purpose, authorized) n acc ->
+        (Prima_core.Rule.of_assoc
+           [ (A.data, data); (A.purpose, purpose); (A.authorized, authorized) ],
+         n)
+        :: acc)
+      counts []
+  in
+  let range_x = R.of_policy t.vocab (Prima_core.Policy.project t.p_ps ~attrs:A.pattern) in
+  let range_y = R.of_rules t.vocab (List.map fst triples) in
+  let sum f = List.fold_left (fun acc (rule, n) -> acc + f rule n) 0 triples in
+  ( { overlap = R.cardinality (R.inter range_x range_y); denominator = R.cardinality range_y },
+    { overlap = sum (fun rule n -> if R.covers t.vocab range_x rule then n else 0);
+      denominator = sum (fun _ n -> n);
+    } )
 
 (* The hypothetical fault-free, ungoverned refinement epoch over the full
    trail: what the system's refine could at most accept. *)

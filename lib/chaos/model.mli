@@ -56,10 +56,13 @@ val total_entries : t -> int
 val trail_policy : t -> Prima_core.Policy.t
 (** P_AL over the full fault-free trail. *)
 
-val coverage : t -> Prima_core.Coverage.stats * Prima_core.Coverage.stats
+type reading = { overlap : int; denominator : int }
+
+val coverage : t -> reading * reading
 (** Exact (set, bag) coverage of the full trail against the mirrored
-    store, pattern-attribute projection — the system's readings may never
-    exceed these. *)
+    store, over each entry's (data, purpose, authorized) triple — the
+    system's readings may never exceed these.  Computed on
+    {!Prima_core.Range_reference}, independent of the coverage kernel. *)
 
 val epoch : t -> Prima_core.Refinement.epoch_report
 (** The hypothetical fault-free, ungoverned refinement epoch: the ceiling

@@ -68,57 +68,6 @@ let attr_status = Vocabulary.Audit_attrs.status
 let attributes =
   [ attr_time; attr_op; attr_user; attr_data; attr_purpose; attr_authorized; attr_status ]
 
-(* The A default of Algorithm 4: the projection the SQL analysis groups by. *)
-let pattern_attributes = [ attr_data; attr_purpose; attr_authorized ]
-
-let relational_columns =
-  [ (attr_time, Relational.Value.T_int);
-    (attr_op, Relational.Value.T_int);
-    (attr_user, Relational.Value.T_string);
-    (attr_data, Relational.Value.T_string);
-    (attr_purpose, Relational.Value.T_string);
-    (attr_authorized, Relational.Value.T_string);
-    (attr_status, Relational.Value.T_int);
-  ]
-
-let relational_schema () =
-  Relational.Schema.of_list
-    (List.map (fun (n, ty) -> Relational.Schema.column n ty) relational_columns)
-
-let to_row e : Relational.Row.t =
-  [| Relational.Value.Int e.time;
-     Relational.Value.Int (op_to_int e.op);
-     Relational.Value.Str e.user;
-     Relational.Value.Str e.data;
-     Relational.Value.Str e.purpose;
-     Relational.Value.Str e.authorized;
-     Relational.Value.Int (status_to_int e.status);
-  |]
-
-(* Rows carry the paper's seven attributes only: provenance does not
-   travel through the relational export. *)
-let of_row (row : Relational.Row.t) : entry =
-  let open Relational in
-  let int_at i =
-    match Value.as_int (Row.get row i) with
-    | Some v -> v
-    | None -> invalid_arg "Audit_schema.of_row: expected integer"
-  in
-  let str_at i =
-    match Value.as_string (Row.get row i) with
-    | Some v -> v
-    | None -> invalid_arg "Audit_schema.of_row: expected string"
-  in
-  { time = int_at 0;
-    op = op_of_int (int_at 1);
-    user = str_at 2;
-    data = str_at 3;
-    purpose = str_at 4;
-    authorized = str_at 5;
-    status = status_of_int (int_at 6);
-    provenance = None;
-  }
-
 (* Association-list view: the entry as the paper's rule of seven RuleTerms. *)
 let to_assoc e =
   [ (attr_time, string_of_int e.time);

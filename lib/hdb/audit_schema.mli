@@ -79,17 +79,6 @@ val attr_status : string
 val attributes : string list
 (** Schema order as given in the paper. *)
 
-val pattern_attributes : string list
-(** The A default of Algorithm 4: (data, purpose, authorized). *)
-
-val relational_columns : (string * Relational.Value.ty) list
-val relational_schema : unit -> Relational.Schema.t
-val to_row : entry -> Relational.Row.t
-
-val of_row : Relational.Row.t -> entry
-(** @raise Invalid_argument on rows that do not follow
-    {!relational_schema}. *)
-
 val to_assoc : entry -> (string * string) list
 (** The entry as the paper's rule of seven RuleTerms (ints rendered as
     strings). *)

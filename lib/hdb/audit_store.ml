@@ -290,17 +290,3 @@ let encoded_bytes t =
   + dict_bytes t.users + dict_bytes t.datas + dict_bytes t.purposes
   + dict_bytes t.authorizeds
   + !prov_bytes
-
-(* Export into a relational table (used by refinement's SQL analysis). *)
-let to_table t ~database ~table_name =
-  let tbl =
-    match Relational.Database.find_table database table_name with
-    | Some existing ->
-      Relational.Table.truncate existing;
-      existing
-    | None ->
-      Relational.Database.create_table database ~name:table_name
-        ~schema:(Audit_schema.relational_schema ())
-  in
-  iter (fun e -> Relational.Table.insert tbl (Audit_schema.to_row e)) t;
-  tbl

@@ -82,6 +82,3 @@ val encoded_bytes : t -> int
 (** Estimated size of this encoded representation (id vectors + packed
     bits + dictionaries). *)
 
-val to_table : t -> database:Relational.Database.t -> table_name:string -> Relational.Table.t
-(** Exports into a relational table (truncating any previous export), for
-    SQL analysis over the log. *)

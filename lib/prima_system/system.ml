@@ -46,21 +46,23 @@ type t = {
   mutable shed_requests : int; (* admitted-path requests shed at the gate *)
 }
 
+(* A rule naming data, purpose and authorized becomes an enforcement
+   permit; any other rule has no triple to enforce. *)
+let permit_rule control rule =
+  match
+    ( Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.data,
+      Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.purpose,
+      Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.authorized )
+  with
+  | Some data, Some purpose, Some authorized ->
+    Hdb.Control_center.permit control ~data ~purpose ~authorized
+  | _ -> ()
+
 let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?storage ~vocab
     ~p_ps () =
   let control = Hdb.Control_center.create ~vocab () in
   (* Seed the enforcement rule base from the initial policy store. *)
-  List.iter
-    (fun rule ->
-      match
-        ( Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.data,
-          Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.purpose,
-          Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.authorized )
-      with
-      | Some data, Some purpose, Some authorized ->
-        Hdb.Control_center.permit control ~data ~purpose ~authorized
-      | _ -> ())
-    (Prima_core.Policy.rules p_ps);
+  List.iter (permit_rule control) (Prima_core.Policy.rules p_ps);
   let federation = Audit_mgmt.Federation.create () in
   (* Open-or-recover the durable state before anything writes: the audit
      store replays its WAL into the control center's (still empty) columns,
@@ -317,15 +319,7 @@ let coverage_qualified t : qualified_coverage =
 
 (* Install an adopted pattern as an enforcement rule so subsequent accesses
    matching it are regular, not exception-based. *)
-let install_pattern t rule =
-  match
-    ( Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.data,
-      Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.purpose,
-      Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.authorized )
-  with
-  | Some data, Some purpose, Some authorized ->
-    Hdb.Control_center.permit t.control ~data ~purpose ~authorized
-  | _ -> ()
+let install_pattern t rule = permit_rule t.control rule
 
 (* Coverage trend over the consolidated trail, judged against the current
    store; [drifting] on its result signals a refinement run is due. *)

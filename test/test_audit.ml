@@ -106,8 +106,9 @@ let test_site_ingest () =
 
 let test_site_legacy_raw () =
   let site = Site.create ~mapping:(legacy_mapping ()) ~name:"legacy" () in
-  Site.ingest_raw site legacy_row;
-  check_int "ingested" 1 (Site.length site);
+  let summary = Site.ingest_raw_batch site [ legacy_row ] in
+  check_int "ingested" 1 summary.Site.ingested;
+  check_int "stored" 1 (Site.length site);
   check_string "normalised" "nurse" (List.hd (Site.entries site)).Hdb.Audit_schema.authorized
 
 (* A raw row in the standard schema; [broken] fields are unreadable. *)
@@ -121,7 +122,7 @@ let raw_row ?(time = "1") ?(op = "1") ?(user = "u") () =
 let test_site_batch_atomic_per_record () =
   let site = Site.create ~name:"icu" () in
   let summary =
-    Site.ingest_raw_all site
+    Site.ingest_raw_batch site
       [ raw_row ~time:"1" (); raw_row ~time:"bogus" (); raw_row ~time:"3" () ]
   in
   check_int "two ingested" 2 summary.Site.ingested;
@@ -151,7 +152,7 @@ let test_site_batch_exactly_once () =
 let test_site_reprocess_after_mapping_fix () =
   let site = Site.create ~name:"legacy" () in
   let bad = [ raw_row ~op:"granted-maybe" () ] in
-  let summary = Site.ingest_raw_all site bad in
+  let summary = Site.ingest_raw_batch site bad in
   check_int "quarantined" 1 summary.Site.quarantined;
   (* Still broken: reprocessing returns it to quarantine. *)
   let stuck = Site.reprocess_quarantined site in
@@ -173,55 +174,48 @@ let test_site_reprocess_after_mapping_fix () =
 
 (* --- federation --- *)
 
+let merged fed = (Federation.consolidated_result fed).Federation.entries
+
+(* The reference merge, independent of the consolidation under test:
+   every site's entries in site order, stable-sorted by time. *)
+let stable_by_time sites =
+  List.stable_sort
+    (fun a b -> Int.compare a.Hdb.Audit_schema.time b.Hdb.Audit_schema.time)
+    (List.concat_map Site.entries sites)
+
 let test_federation_merges_by_time () =
   let a = Site.create ~name:"a" () in
   let b = Site.create ~name:"b" () in
   Site.ingest_entries a [ entry ~time:1 ~user:"a1" (); entry ~time:5 ~user:"a5" () ];
   Site.ingest_entries b [ entry ~time:2 ~user:"b2" (); entry ~time:4 ~user:"b4" () ];
   let fed = Federation.of_sites [ a; b ] in
-  let merged = Federation.consolidated fed in
   Alcotest.(check (list string)) "time order" [ "a1"; "b2"; "b4"; "a5" ]
-    (List.map (fun e -> e.Hdb.Audit_schema.user) merged)
+    (List.map (fun e -> e.Hdb.Audit_schema.user) (merged fed))
 
 let test_federation_tie_stability () =
   let a = Site.create ~name:"a" () in
   let b = Site.create ~name:"b" () in
   Site.ingest_entries a [ entry ~time:3 ~user:"first" () ];
   Site.ingest_entries b [ entry ~time:3 ~user:"second" () ];
-  let merged = Federation.consolidated (Federation.of_sites [ a; b ]) in
   Alcotest.(check (list string)) "site order on ties" [ "first"; "second" ]
-    (List.map (fun e -> e.Hdb.Audit_schema.user) merged)
+    (List.map (fun e -> e.Hdb.Audit_schema.user) (merged (Federation.of_sites [ a; b ])))
 
 let test_federation_unsorted_site () =
   let a = Site.create ~name:"a" () in
   Site.ingest_entries a [ entry ~time:9 (); entry ~time:1 (); entry ~time:5 () ];
-  let merged = Federation.consolidated (Federation.of_sites [ a ]) in
   Alcotest.(check (list int)) "sorted defensively" [ 1; 5; 9 ]
-    (List.map (fun e -> e.Hdb.Audit_schema.time) merged)
-
-let test_federation_window () =
-  let a = Site.create ~name:"a" () in
-  Site.ingest_entries a (List.init 10 (fun i -> entry ~time:(i + 1) ()));
-  let fed = Federation.of_sites [ a ] in
-  check_int "window" 4 (List.length (Federation.window fed ~time_from:3 ~time_to:6))
+    (List.map (fun e -> e.Hdb.Audit_schema.time) (merged (Federation.of_sites [ a ])))
 
 let test_federation_empty () =
   let fed = Federation.create () in
-  check_int "no entries" 0 (List.length (Federation.consolidated fed));
-  check_int "empty policy" 0 (Prima_core.Policy.cardinality (Federation.to_policy fed))
-
-let test_federation_window_boundaries () =
-  let a = Site.create ~name:"a" () in
-  Site.ingest_entries a [ entry ~time:1 (); entry ~time:5 (); entry ~time:9 () ];
-  let fed = Federation.of_sites [ a ] in
-  check_int "inclusive both ends" 3 (List.length (Federation.window fed ~time_from:1 ~time_to:9));
-  check_int "point window" 1 (List.length (Federation.window fed ~time_from:5 ~time_to:5));
-  check_int "empty window" 0 (List.length (Federation.window fed ~time_from:6 ~time_to:4))
+  check_int "no entries" 0 (List.length (merged fed));
+  check_int "no patterns" 0
+    (Prima_core.Rule.Tbl.length (Federation.consolidated_view fed).Federation.pattern_counts)
 
 let test_federation_to_policy () =
   let a = Site.create ~name:"a" () in
   Site.ingest_entries a [ entry ~time:1 (); entry ~time:2 () ];
-  let p = Federation.to_policy (Federation.of_sites [ a ]) in
+  let p = To_policy.policy_of_entries (merged (Federation.of_sites [ a ])) in
   check_int "two rules" 2 (Prima_core.Policy.cardinality p);
   check_bool "audit source" true (Prima_core.Policy.source p = Prima_core.Policy.Audit_log)
 
@@ -246,20 +240,24 @@ let test_federation_heterogeneous_end_to_end () =
   let legacy = Site.create ~mapping:(legacy_mapping ()) ~name:"legacy" () in
   List.iteri
     (fun i e ->
-      Site.ingest_raw legacy
-        [ ("ts", string_of_int e.Hdb.Audit_schema.time);
-          ("action", if e.Hdb.Audit_schema.op = Hdb.Audit_schema.Allow then "granted" else "denied");
-          ("who", e.Hdb.Audit_schema.user);
-          ("category", e.Hdb.Audit_schema.data);
-          ("reason", e.Hdb.Audit_schema.purpose);
-          ("role", if i mod 2 = 0 then "RN" else e.Hdb.Audit_schema.authorized);
-          ("mode",
-           if e.Hdb.Audit_schema.status = Hdb.Audit_schema.Regular then "regular" else "btg");
-        ])
+      ignore
+        (Site.ingest_raw_batch legacy
+           [ [ ("ts", string_of_int e.Hdb.Audit_schema.time);
+               ("action",
+                if e.Hdb.Audit_schema.op = Hdb.Audit_schema.Allow then "granted" else "denied");
+               ("who", e.Hdb.Audit_schema.user);
+               ("category", e.Hdb.Audit_schema.data);
+               ("reason", e.Hdb.Audit_schema.purpose);
+               ("role", if i mod 2 = 0 then "RN" else e.Hdb.Audit_schema.authorized);
+               ("mode",
+                if e.Hdb.Audit_schema.status = Hdb.Audit_schema.Regular then "regular"
+                else "btg");
+             ] ]))
     (List.filteri (fun i _ -> i >= 5) (Workload.Scenario.table1_entries ()));
   let fed = Federation.of_sites [ modern; legacy ] in
-  check_int "all ten consolidated" 10 (List.length (Federation.consolidated fed));
-  let p_al = Federation.to_policy fed in
+  let entries = merged fed in
+  check_int "all ten consolidated" 10 (List.length entries);
+  let p_al = To_policy.policy_of_entries entries in
   check_int "ten rules" 10 (Prima_core.Policy.cardinality p_al)
 
 (* --- heap merge parity --- *)
@@ -279,12 +277,12 @@ let prop_heap_merge_parity =
             List.iteri
               (fun j time ->
                 (* The user tags (site, position) so order is observable. *)
-                Site.ingest_entry site (entry ~time ~user:(Printf.sprintf "u%d-%d" i j) ()))
+                Site.ingest_entries site [ entry ~time ~user:(Printf.sprintf "u%d-%d" i j) () ])
               times;
             site)
           site_times
       in
-      let merged = Federation.consolidated (Federation.of_sites sites) in
+      let merged = merged (Federation.of_sites sites) in
       let expected =
         List.stable_sort
           (fun a b -> Int.compare a.Hdb.Audit_schema.time b.Hdb.Audit_schema.time)
@@ -321,6 +319,20 @@ let test_tournament_priority_ties () =
   let b = Tournament.cursor ~priority:1 [ (1, "high") ] in
   check_bool "lower priority value wins the tie" true
     (Tournament.merge_cursors ~key:fst [ a; b ] = [ (1, "high"); (1, "low") ])
+
+(* Every int is a valid key, max_int included: a cursor that runs out
+   must lose to a live one, never tie with a record keyed max_int. *)
+let test_tournament_max_int_keys () =
+  check_bool "exhausted earlier stream does not end the merge" true
+    (Tournament.merge ~key:Fun.id [ [ 1 ]; [ max_int ] ] = [ 1; max_int ]);
+  check_bool "max_int runs from several streams all merge" true
+    (Tournament.merge ~key:Fun.id [ [ 0; max_int ]; []; [ max_int ]; [ 5 ] ]
+    = [ 0; 5; max_int; max_int ]);
+  let a = Tournament.cursor ~priority:1 [ (max_int, "a") ] in
+  let b = Tournament.cursor ~priority:0 [ (2, "b0"); (max_int, "b1") ] in
+  check_bool "ties at max_int still resolve by priority" true
+    (Tournament.merge_cursors ~key:fst [ a; b ]
+    = [ (2, "b0"); (max_int, "b1"); (max_int, "a") ])
 
 (* Eleven cursors push the bracket past one 8-leaf level, and every
    cursor carries the same four keys: each key's run must come out in
@@ -373,10 +385,10 @@ let test_site_wal_crash_replay () =
   let site = Site.create ~name:"icu" () in
   Site.attach_wal site log;
   Site.ingest_entries site [ entry ~time:1 ~user:"a" (); entry ~time:2 ~user:"b" () ];
-  ignore (Site.ingest_raw_all site [ raw_row ~time:"3" (); raw_row ~time:"nope" () ]);
+  ignore (Site.ingest_raw_batch site [ raw_row ~time:"3" (); raw_row ~time:"nope" () ]);
   Site.sync_wal site;
   (* unsynced tail: lost by the clean power cut below *)
-  Site.ingest_entry site (entry ~time:9 ~user:"late" ());
+  Site.ingest_entries site [ entry ~time:9 ~user:"late" () ];
   let wal = Durable.Log.wal_device log and snap = Durable.Log.snapshot_device log in
   Durable.Device.crash wal ~point:Durable.Device.Clean_loss;
   Durable.Device.crash snap ~point:Durable.Device.Clean_loss;
@@ -397,7 +409,7 @@ let test_site_wal_crash_replay () =
   check_int "retried batch all duplicates" 2 retry.Site.duplicates;
   check_int "store unchanged" 3 (Site.length site');
   (* the unsynced tail is re-sent by the feed, exactly like the clinical path *)
-  Site.ingest_entry site' (entry ~time:9 ~user:"late" ());
+  Site.ingest_entries site' [ entry ~time:9 ~user:"late" () ];
   check_int "tail replayed" 4 (Site.length site')
 
 (* A torn WAL tail marks the site durably degraded until the feed
@@ -432,7 +444,7 @@ let test_site_wal_checkpoint_then_crash () =
   let site = Site.create ~name:"rad" () in
   Site.attach_wal site log;
   Site.ingest_entries site (List.init 5 (fun i -> entry ~time:(i + 1) ()));
-  ignore (Site.ingest_raw_all site [ raw_row ~time:"nope" () ]);
+  ignore (Site.ingest_raw_batch site [ raw_row ~time:"nope" () ]);
   Site.checkpoint_wal site;
   let wal = Durable.Log.wal_device log and snap = Durable.Log.snapshot_device log in
   Durable.Device.crash wal ~point:Durable.Device.Clean_loss;
@@ -455,7 +467,7 @@ let test_overlong_field_quarantined () =
   let run wal =
     let site = Site.create ~name:"icu" () in
     Option.iter (Site.attach_wal site) wal;
-    let summary = Site.ingest_raw_all site batch in
+    let summary = Site.ingest_raw_batch site batch in
     let label what = Printf.sprintf "%s (%s WAL)" what (if wal = None then "no" else "with") in
     check_int (label "two ingested") 2 summary.Site.ingested;
     check_int (label "one quarantined") 1 summary.Site.quarantined;
@@ -484,8 +496,8 @@ let test_overlong_field_quarantined () =
 
 (* --- consolidated_result health --- *)
 
-(* Reliable sites: the production path is equivalent to the direct view and
-   the health report accounts for every record with completeness 1. *)
+(* Reliable sites: the consolidation equals the reference merge and the
+   health report accounts for every record with completeness 1. *)
 let test_consolidated_result_reliable () =
   let a = Site.create ~name:"a" () in
   let b = Site.create ~name:"b" () in
@@ -499,13 +511,29 @@ let test_consolidated_result_reliable () =
   check_int "total accounts for input" 4 h.Audit_mgmt.Health.total;
   check_int "nothing quarantined" 0 h.Audit_mgmt.Health.quarantined;
   check_int "nothing stranded" 0 h.Audit_mgmt.Health.skipped_entries;
-  check_bool "same as direct view" true
-    (List.for_all2 Hdb.Audit_schema.equal result.Federation.entries (Federation.consolidated fed))
+  check_bool "same as the reference merge" true
+    (List.for_all2 Hdb.Audit_schema.equal result.Federation.entries (stable_by_time [ a; b ]))
+
+(* Regression: an exhausted cursor used to key at the max_int sentinel and
+   win the tie against a live record timed max_int by priority, ending the
+   merge early — the entry was counted delivered but never merged. *)
+let test_consolidated_result_max_int_time () =
+  let a = Site.create ~name:"a" () in
+  let b = Site.create ~name:"b" () in
+  Site.ingest_entries a [ entry ~time:1 ~user:"early" () ];
+  Site.ingest_entries b [ entry ~time:max_int ~user:"last" () ];
+  let fed = Federation.of_sites [ a; b ] in
+  let view = Federation.consolidated_view fed in
+  check_int "delivered" 2 view.Federation.health.Audit_mgmt.Health.delivered;
+  check_int "tallied" 2
+    (Prima_core.Rule.Tbl.fold (fun _ n acc -> acc + n) view.Federation.pattern_counts 0);
+  Alcotest.(check (list string)) "both merged, in time order" [ "early"; "last" ]
+    (List.map (fun e -> e.Hdb.Audit_schema.user) (Lazy.force view.Federation.entries))
 
 (* A site's ingest quarantine shows up in the health accounting. *)
 let test_consolidated_result_counts_ingest_quarantine () =
   let a = Site.create ~name:"a" () in
-  ignore (Site.ingest_raw_all a [ raw_row ~time:"1" (); raw_row ~time:"nope" () ]);
+  ignore (Site.ingest_raw_batch a [ raw_row ~time:"1" (); raw_row ~time:"nope" () ]);
   let fed = Federation.of_sites [ a ] in
   let h = (Federation.consolidated_result fed).Federation.health in
   check_int "delivered" 1 h.Audit_mgmt.Health.delivered;
@@ -541,9 +569,7 @@ let () =
         [ Alcotest.test_case "merge by time" `Quick test_federation_merges_by_time;
           Alcotest.test_case "tie stability" `Quick test_federation_tie_stability;
           Alcotest.test_case "unsorted site" `Quick test_federation_unsorted_site;
-          Alcotest.test_case "window" `Quick test_federation_window;
           Alcotest.test_case "empty" `Quick test_federation_empty;
-          Alcotest.test_case "window boundaries" `Quick test_federation_window_boundaries;
           Alcotest.test_case "to policy" `Quick test_federation_to_policy;
           Alcotest.test_case "totals/lookup" `Quick test_federation_totals;
           Alcotest.test_case "heterogeneous end-to-end" `Quick
@@ -553,6 +579,7 @@ let () =
       ( "tournament",
         [ Alcotest.test_case "degenerate shapes" `Quick test_tournament_basics;
           Alcotest.test_case "priority breaks ties" `Quick test_tournament_priority_ties;
+          Alcotest.test_case "max_int keys" `Quick test_tournament_max_int_keys;
           Alcotest.test_case "11 cursors, duplicate keys" `Quick
             test_tournament_many_cursors_duplicate_keys;
           QCheck_alcotest.to_alcotest ~long:false prop_tournament_stable_tie_break;
@@ -571,5 +598,7 @@ let () =
         [ Alcotest.test_case "reliable sites" `Quick test_consolidated_result_reliable;
           Alcotest.test_case "ingest quarantine counted" `Quick
             test_consolidated_result_counts_ingest_quarantine;
+          Alcotest.test_case "entry timed max_int" `Quick
+            test_consolidated_result_max_int_time;
         ] );
     ]

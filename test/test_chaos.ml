@@ -289,13 +289,32 @@ let test_model_consolidation () =
   List.iteri
     (fun i e ->
       let site = match i mod 3 with 0 -> clinical | 1 -> r0 | _ -> r1 in
-      Audit_mgmt.Site.ingest_entry site e)
+      Audit_mgmt.Site.ingest_entries site [ e ])
     entries;
-  let merged = Audit_mgmt.Federation.consolidated fed in
+  let merged = (Audit_mgmt.Federation.consolidated_result fed).Audit_mgmt.Federation.entries in
   let modelled = Chaos.Model.consolidated model in
   check_int "same trail length" (List.length merged) (List.length modelled);
   check "model consolidation equals the heap merge" true
     (List.for_all2 Hdb.Audit_schema.equal merged modelled)
+
+(* The model's coverage oracle reproduces the paper's figures on its own:
+   Figure 3's log reads 3/6 under set semantics, Table 1's 3/10 under bag
+   semantics, both against the Figure 3(a) store. *)
+let test_model_coverage_paper_figures () =
+  let reading entries =
+    let model =
+      Chaos.Model.create ~vocab:(Workload.Scenario.vocab ())
+        ~p_ps:(Workload.Scenario.policy_store ()) ~nsites:0
+    in
+    Chaos.Model.append_clinical model entries;
+    Chaos.Model.coverage model
+  in
+  let set, _ = reading (Workload.Scenario.figure3_entries ()) in
+  check_int "Figure 3 set overlap" 3 set.Chaos.Model.overlap;
+  check_int "Figure 3 set denominator" 6 set.Chaos.Model.denominator;
+  let _, bag = reading (Workload.Scenario.table1_entries ()) in
+  check_int "Table 1 bag overlap" 3 bag.Chaos.Model.overlap;
+  check_int "Table 1 bag denominator" 10 bag.Chaos.Model.denominator
 
 let () =
   Alcotest.run "chaos"
@@ -336,5 +355,7 @@ let () =
         [
           Alcotest.test_case "consolidation mirrors the heap merge" `Quick
             test_model_consolidation;
+          Alcotest.test_case "coverage pins 3/6 and 3/10" `Quick
+            test_model_coverage_paper_figures;
         ] );
     ]

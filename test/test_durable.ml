@@ -810,7 +810,7 @@ let test_quarantine_reprocess_idempotent_across_crash () =
   let site = Audit_mgmt.Site.create ~quarantine:q ~name:"icu" () in
   (* "rolle" hides the authorized attribute from the identity mapping *)
   let batch = List.init 4 (fun i -> foreign_raw i "rolle") in
-  let s = Audit_mgmt.Site.ingest_raw_all site batch in
+  let s = Audit_mgmt.Site.ingest_raw_batch site batch in
   check_int "all quarantined" 4 s.Audit_mgmt.Site.quarantined;
   Audit_mgmt.Quarantine.sync q;
   (* the mapping fix lands; the process dies before reprocessing runs *)
@@ -982,14 +982,14 @@ let golden_site () =
     [ golden_entry 1; golden_entry ~provenance:(Some 7) 2 ];
   (* 'N', 'S', 'Q' ("rolle" hides the authorized attribute) *)
   ignore
-    (Audit_mgmt.Site.ingest_raw_all site
+    (Audit_mgmt.Site.ingest_raw_batch site
        [ golden_raw 1; golden_raw ~authorized:"rolle" 2; golden_raw 3 ]);
   (* the snapshot re-encodes live state as 'E' + 'P' + 'Q' + 'N' *)
   Audit_mgmt.Site.checkpoint_wal site;
   (* 'R' then a fresh 'Q': the record still does not map *)
   ignore (Audit_mgmt.Site.reprocess_quarantined site);
-  ignore (Audit_mgmt.Site.ingest_raw_all site [ golden_raw 4 ]);
-  Audit_mgmt.Site.ingest_entry site (golden_entry ~provenance:None 5);
+  ignore (Audit_mgmt.Site.ingest_raw_batch site [ golden_raw 4 ]);
+  Audit_mgmt.Site.ingest_entries site [ golden_entry ~provenance:None 5 ];
   Audit_mgmt.Site.sync_wal site;
   (site, log)
 
@@ -1139,7 +1139,7 @@ let test_site_rejects () =
   let log = L.create ~seed:96 () in
   let site = Audit_mgmt.Site.create ~name:"icu" () in
   Audit_mgmt.Site.attach_wal site log;
-  Audit_mgmt.Site.ingest_entry site (entry 1);
+  Audit_mgmt.Site.ingest_entries site [ entry 1 ];
   append_synced log bad;
   let site', r, undecodable = Audit_mgmt.Site.open_durable ~name:"icu" (restart log) in
   check_bool "clean recovery" true (R.clean r);

@@ -252,6 +252,21 @@ let test_archive_manifest_rebuild () =
   let _, report2 = Shard_store.reopen ~manifest:md ~shards:(Shard_store.devices b) () in
   check_bool "second open trusts the manifest" false report2.Shard_store.manifest_rebuilt
 
+(* The sharded merge shares the tournament: a record timed max_int at a
+   later site is still served after an earlier site's shards run out,
+   before and after a reopen. *)
+let test_archive_max_int_record_merged () =
+  let a = Shard_store.create ~seed:13 () in
+  ignore (Shard_store.archive_site a ~site:"icu" [ entry ~time:1 ~user:"a" () ]);
+  ignore (Shard_store.archive_site a ~site:"lab" [ entry ~time:max_int ~user:"b" () ]);
+  Shard_store.sync a;
+  let times s = List.map (fun e -> e.Hdb.Audit_schema.time) (Shard_store.merged s) in
+  check_bool "both records merged in time order" true (times a = [ 1; max_int ]);
+  check_int "site high water" max_int (Shard_store.site_high_water a ~site:"lab");
+  let b, _ = Shard_store.reopen ~manifest:(Shard_store.manifest_device a)
+      ~shards:(Shard_store.devices a) () in
+  check_bool "reopened store merges the same" true (times b = [ 1; max_int ])
+
 (* A tampered shard is quarantined per shard, not whole-store: its records
    count stranded, the merge excludes it, the other site still serves —
    and a clean fetch supersedes the damaged archive wholesale. *)
@@ -331,7 +346,7 @@ let build_matrix_federation ~seed ~nsites ~faulty =
     List.init nsites (fun i -> Site.create ~name:(Printf.sprintf "site-%d" i) ())
   in
   List.iteri
-    (fun i e -> Site.ingest_entry (List.nth sites (i mod nsites)) e)
+    (fun i e -> Site.ingest_entries (List.nth sites (i mod nsites)) [ e ])
     (Workload.Scenario.table1_entries ());
   let fed = Federation.create ~seed () in
   List.iteri
@@ -342,6 +357,13 @@ let build_matrix_federation ~seed ~nsites ~faulty =
       else Federation.add_site fed site)
     sites;
   fed
+
+(* The fault-free baseline, independent of the consolidation under test:
+   every site's entries in site order, stable-sorted by time. *)
+let stable_by_time sites =
+  List.stable_sort
+    (fun a b -> Int.compare a.Hdb.Audit_schema.time b.Hdb.Audit_schema.time)
+    (List.concat_map Site.entries sites)
 
 let health_site_total (s : Health.site_health) =
   s.Health.entries + s.Health.quarantined + s.Health.skipped_entries
@@ -402,7 +424,7 @@ let test_matrix_convergence seed () =
       ~p_al:(To_policy.policy_of_entries entries) ()
   in
   let baseline_fed = build_matrix_federation ~seed ~nsites:3 ~faulty:false in
-  let baseline = Federation.consolidated baseline_fed in
+  let baseline = stable_by_time (Federation.sites baseline_fed) in
   let baseline_report = epoch baseline in
   check_int "baseline adopts the Table 1 pattern" 1
     (List.length baseline_report.Prima_core.Refinement.accepted);
@@ -448,17 +470,18 @@ let test_matrix_convergence_through_quarantine () =
   in
   let vocab = Workload.Scenario.vocab () in
   let p_ps = Workload.Scenario.policy_store () in
-  let epoch fed =
-    Prima_core.Refinement.run_epoch ~vocab ~p_ps ~p_al:(Federation.to_policy fed) ()
+  let epoch entries =
+    Prima_core.Refinement.run_epoch ~vocab ~p_ps
+      ~p_al:(To_policy.policy_of_entries entries) ()
   in
   (* Baseline: correct mapping from the start. *)
   let clean = Site.create ~mapping:good_mapping ~name:"legacy" () in
-  let s = Site.ingest_raw_all clean raws in
+  let s = Site.ingest_raw_batch clean raws in
   check_int "baseline ingests all" (List.length raws) s.Site.ingested;
-  let baseline_report = epoch (Federation.of_sites [ clean ]) in
+  let baseline_report = epoch (stable_by_time [ clean ]) in
   (* Degraded: broken mapping quarantines every record... *)
   let broken = Site.create ~name:"legacy" () in
-  let s = Site.ingest_raw_all broken raws in
+  let s = Site.ingest_raw_batch broken raws in
   check_int "all quarantined" (List.length raws) s.Site.quarantined;
   let fed = Federation.of_sites [ broken ] in
   let degraded = Federation.consolidated_result fed in
@@ -470,7 +493,7 @@ let test_matrix_convergence_through_quarantine () =
   check_int "all reprocessed" (List.length raws) s.Site.ingested;
   let recovered = Federation.consolidated_result fed in
   check_bool "complete after reprocess" true (Health.complete recovered.Federation.health);
-  let recovered_report = epoch fed in
+  let recovered_report = epoch recovered.Federation.entries in
   check_bool "same accepted rules as the clean-mapping run" true
     (List.for_all2 Prima_core.Rule.equal_syntactic
        (List.sort Prima_core.Rule.compare recovered_report.Prima_core.Refinement.accepted)
@@ -511,6 +534,8 @@ let () =
         [ Alcotest.test_case "stale serving from shards" `Quick test_archive_stale_serving;
           Alcotest.test_case "torn manifest rebuilt from scans" `Quick
             test_archive_manifest_rebuild;
+          Alcotest.test_case "record timed max_int merged" `Quick
+            test_archive_max_int_record_merged;
           Alcotest.test_case "tampered shard quarantined per-shard" `Quick
             test_archive_tampered_shard_quarantined;
           Alcotest.test_case "lost shard placeholder until refetch" `Quick

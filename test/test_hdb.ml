@@ -23,10 +23,6 @@ let test_schema_int_codes () =
   Alcotest.check_raises "bad op" (Invalid_argument "Audit_schema.op_of_int: 7") (fun () ->
       ignore (Audit_schema.op_of_int 7))
 
-let test_schema_row_roundtrip () =
-  let e = entry ~time:42 ~status:Audit_schema.Exception_based () in
-  check_bool "roundtrip" true (Audit_schema.equal e (Audit_schema.of_row (Audit_schema.to_row e)))
-
 let test_schema_assoc () =
   let assoc = Audit_schema.to_assoc (entry ~time:3 ()) in
   check_bool "time" true (List.assoc "time" assoc = "3");
@@ -65,15 +61,6 @@ let test_store_compression_wins () =
   let store = Audit_store.of_entries entries in
   check_bool "dictionary encoding smaller" true
     (Audit_store.encoded_bytes store < Audit_store.naive_bytes store)
-
-let test_store_to_table () =
-  let store = Audit_store.of_entries [ entry ~time:1 (); entry ~time:2 () ] in
-  let db = Relational.Database.create () in
-  let tbl = Audit_store.to_table store ~database:db ~table_name:"audit" in
-  check_int "rows" 2 (Relational.Table.row_count tbl);
-  (* idempotent re-export truncates *)
-  let tbl2 = Audit_store.to_table store ~database:db ~table_name:"audit" in
-  check_int "re-export" 2 (Relational.Table.row_count tbl2)
 
 (* --- logger --- *)
 
@@ -554,14 +541,12 @@ let () =
   Alcotest.run "hdb"
     [ ( "audit-schema",
         [ Alcotest.test_case "int codes" `Quick test_schema_int_codes;
-          Alcotest.test_case "row roundtrip" `Quick test_schema_row_roundtrip;
           Alcotest.test_case "assoc" `Quick test_schema_assoc;
         ] );
       ( "audit-store",
         [ Alcotest.test_case "append/get" `Quick test_store_append_get;
           Alcotest.test_case "roundtrip many" `Quick test_store_roundtrip_many;
           Alcotest.test_case "compression wins" `Quick test_store_compression_wins;
-          Alcotest.test_case "to relational table" `Quick test_store_to_table;
         ] );
       ( "logger",
         [ Alcotest.test_case "clock" `Quick test_logger_clock;

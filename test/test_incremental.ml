@@ -4,8 +4,8 @@
    with appends interleaved between reads — so every read catches the
    counts up over a fresh delta — plus a reseat onto a rebuilt store, a
    mid-stream vocabulary edit and one fault-wrapped member, and checks
-   each reading against Coverage.aligned over the eager P_AL of the
-   trusted consolidated view — and, since the coverage kernel sits on both
+   each reading against Coverage.aligned over an eager P_AL built from a
+   stable time sort of every site's entries — and, since the coverage kernel sits on both
    sides of that comparison, against a recompute on Range_reference. *)
 
 module Sys_ = Prima_system.System
@@ -75,9 +75,14 @@ let setup () =
        ~seed:7 (Site.create ~name:faulty ()));
   { sys; time = 0; edits = 0; late = None }
 
+(* Every site's entries in site order, stable-sorted by time: the merge
+   the consolidation must reproduce, independent of it. *)
 let eager_p_al r =
   Prima_core.Policy.rules
-    (Audit_mgmt.To_policy.policy_of_entries (Fed.consolidated (Sys_.federation r.sys)))
+    (Audit_mgmt.To_policy.policy_of_entries
+       (List.stable_sort
+          (fun a b -> Int.compare a.Hdb.Audit_schema.time b.Hdb.Audit_schema.time)
+          (List.concat_map Site.entries (Fed.sites (Sys_.federation r.sys)))))
 
 (* Both readings recomputed on the seed's set-based Range, independent of
    the coverage kernel: set semantics from range algebra, bag semantics
