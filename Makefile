@@ -79,7 +79,8 @@ overload:
 bench:
 	dune exec bench/main.exe
 
-# Experiments only (skips Bechamel); regenerates BENCH_coverage.json.
+# Experiments only (skips Bechamel); regenerates BENCH_coverage.json,
+# BENCH_wal.json and BENCH_governor.json.
 bench-quick:
 	dune exec bench/main.exe -- quick
 

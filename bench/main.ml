@@ -364,7 +364,7 @@ let e8 () =
       if with_condition then Prima_core.Data_analysis.default_config
       else
         { Prima_core.Data_analysis.default_config with
-          Prima_core.Data_analysis.condition = None;
+          Prima_core.Data_analysis.condition = Prima_core.Data_analysis.No_condition;
         }
     in
     let ref_config =

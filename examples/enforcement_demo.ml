@@ -76,7 +76,7 @@ let () =
   Fmt.pr "@.=== Compliance question: who saw referral data? ===@.";
   List.iter
     (fun e -> Fmt.pr "  %a@." Hdb.Audit_schema.pp e)
-    (Hdb.Audit_query.disclosures (CC.audit_store control) ~data:"referral" ());
+    (Hdb.Audit_query.disclosures (CC.audit_store control) ~data:"referral");
 
   Fmt.pr "@.=== Storage efficiency of the audit store ===@.";
   let store = CC.audit_store control in

@@ -62,9 +62,6 @@ type t = {
   degraded_shards : int; (* torn or tampered archive shards, all sites *)
 }
 
-let site_ok s =
-  match s.status with Delivered _ | Stale _ -> true | Skipped _ -> false
-
 (* A site whose durable substrate is damaged: its own record counts are
    not a trustworthy total, whatever its fetch status. *)
 let site_durably_degraded s = s.site_degraded || s.shards_degraded > 0

@@ -77,7 +77,6 @@ val site_completeness : site_health -> float
 val durably_degraded : t -> bool
 (** Any site durably degraded — coverage must stay a lower bound. *)
 
-val site_ok : site_health -> bool
 val site_durably_degraded : site_health -> bool
 val skip_reason_to_string : skip_reason -> string
 val pp_status : Format.formatter -> site_status -> unit

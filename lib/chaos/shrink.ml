@@ -203,7 +203,9 @@ let max_site_index actions =
 
 (* ---------- the driver ---------- *)
 
-let shrink ?(max_rounds = 10) r =
+let max_rounds = 10
+
+let shrink r =
   let original = List.length r.actions in
   let candidates = ref 0 in
   let current = ref r in

@@ -15,11 +15,16 @@ type comparator =
   | At_least (* COUNT( * ) >= f : matches the narrative and Section 5 *)
   | More_than (* COUNT( * ) > f  : matches the pseudocode literally *)
 
+(* c: the only condition Algorithm 4 uses is the distinct-user floor. *)
+type condition =
+  | Distinct_users_over of int (* COUNT(DISTINCT user) > n *)
+  | No_condition
+
 type config = {
   attributes : string list; (* A: subset of the audit schema *)
   min_frequency : int; (* f: system-defined threshold, default 5 *)
   comparator : comparator;
-  condition : string option; (* c: extra HAVING conjunct, SQL text *)
+  condition : condition; (* c: extra HAVING conjunct *)
 }
 
 (* The defaults of Algorithm 4: A = pattern attributes, f = 5,
@@ -28,7 +33,7 @@ let default_config =
   { attributes = Vocabulary.Audit_attrs.pattern;
     min_frequency = 5;
     comparator = At_least;
-    condition = Some (Printf.sprintf "COUNT(DISTINCT %s) > 1" Vocabulary.Audit_attrs.user);
+    condition = Distinct_users_over 1;
   }
 
 (* Materialise a policy of audit rules as a relational table; every column
@@ -68,7 +73,10 @@ let statement ~table_name config =
   let op = match config.comparator with At_least -> ">=" | More_than -> ">" in
   let having =
     Printf.sprintf "COUNT(*) %s %d%s" op config.min_frequency
-      (match config.condition with Some c -> " AND " ^ c | None -> "")
+      (match config.condition with
+       | Distinct_users_over n ->
+         Printf.sprintf " AND COUNT(DISTINCT %s) > %d" Vocabulary.Audit_attrs.user n
+       | No_condition -> "")
   in
   Printf.sprintf "SELECT %s FROM %s GROUP BY %s HAVING %s" attrs table_name attrs having
 

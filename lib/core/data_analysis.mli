@@ -12,16 +12,21 @@ type comparator =
           exactly f = 5 times. *)
   | More_than  (** [COUNT( * ) > f] — the pseudocode read literally. *)
 
+(** c: the extra HAVING conjunct, rendered to SQL only by {!statement}. *)
+type condition =
+  | Distinct_users_over of int  (** [COUNT(DISTINCT user) > n] *)
+  | No_condition
+
 type config = {
   attributes : string list;  (** A: a subset of the audit schema *)
   min_frequency : int;  (** f: the system-defined threshold *)
   comparator : comparator;
-  condition : string option;  (** c: extra HAVING conjunct, SQL text *)
+  condition : condition;  (** c: extra HAVING conjunct *)
 }
 
 val default_config : config
 (** Algorithm 4's defaults: A = (data, purpose, authorized), f = 5,
-    c = [COUNT(DISTINCT user) > 1], at-least comparator. *)
+    c = [Distinct_users_over 1], at-least comparator. *)
 
 val materialize : Relational.Engine.t -> table_name:string -> Policy.t -> string list
 (** Loads a policy of audit rules into a (re)created TEXT table, one column

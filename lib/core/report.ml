@@ -36,7 +36,8 @@ let pp_epoch ppf (r : Refinement.epoch_report) =
 (* A row-per-epoch series, e.g.
      epoch  1 |############............| 48.0%
    for rendering coverage trajectories on a terminal. *)
-let pp_series ?(width = 40) ppf (series : (string * float) list) =
+let pp_series ppf (series : (string * float) list) =
+  let width = 40 in
   List.iter
     (fun (label, fraction) ->
       let filled = int_of_float (Float.round (fraction *. float_of_int width)) in

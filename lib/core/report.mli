@@ -9,8 +9,8 @@ val pp_patterns : Format.formatter -> Rule.t list -> unit
 
 val pp_epoch : Format.formatter -> Refinement.epoch_report -> unit
 
-val pp_series : ?width:int -> Format.formatter -> (string * float) list -> unit
-(** One bar per (label, fraction) row:
+val pp_series : Format.formatter -> (string * float) list -> unit
+(** One 40-column bar per (label, fraction) row:
     {v epoch 1  |############............| 48.0% v} *)
 
 val pp_audit_table : Format.formatter -> Rule.t list -> unit

@@ -2,8 +2,8 @@
    sorted by (attr, value) so structurally equal ground rules compare equal,
    which makes range sets (Definition 8) well defined.
 
-   Rules carry a precomputed structural hash (folded over the interned
-   terms' hashes), so hashing is O(1) and equality rejects mismatches in
+   Rules carry a precomputed structural hash (folded over the terms'
+   hashes), so hashing is O(1) and equality rejects mismatches in
    O(1) — the operations the hash-based [Range] performs per ground rule.
    Grounding (Corollary 1) is additionally memoized per (vocabulary, rule):
    audit-log policies repeat the same composite rules thousands of times,

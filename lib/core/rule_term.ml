@@ -2,10 +2,8 @@
    policy notation maps onto.
 
    Terms are the unit of work in grounding and range algebra, so they carry
-   a precomputed structural hash, and their strings are interned: every
-   attr/value string that enters through [make] is replaced by a canonical
-   copy.  Equal strings are then physically equal, which turns the common
-   case of term comparison and equality into pointer checks. *)
+   a precomputed structural hash: distinct terms are rejected by hash before
+   any string is compared. *)
 
 type t = {
   attr : string;
@@ -13,23 +11,9 @@ type t = {
   hash : int;
 }
 
-(* The intern table only ever grows with *distinct* strings that appear in
-   rules; vocabularies and audit attributes draw from small fixed alphabets,
-   so this stays proportional to the vocabulary, not the audit volume. *)
-let intern_table : (string, string) Hashtbl.t = Hashtbl.create 1024
-
-let intern s =
-  match Hashtbl.find_opt intern_table s with
-  | Some canonical -> canonical
-  | None ->
-    Hashtbl.add intern_table s s;
-    s
-
 let combine_hash h1 h2 = (h1 * 0x01000193) lxor h2
 
 let make ~attr ~value =
-  let attr = intern attr in
-  let value = intern value in
   { attr; value; hash = combine_hash (Hashtbl.hash attr) (Hashtbl.hash value) }
 
 let attr t = t.attr
@@ -38,23 +22,18 @@ let value t = t.value
 
 let hash t = t.hash
 
-(* Syntactic identity, used to canonicalise ground rules.  Interning makes
-   the [==] checks decisive for terms built through [make]; the [String.equal]
-   fallback keeps the function correct regardless. *)
+(* Syntactic identity, used to canonicalise ground rules and on every hash
+   table probe.  Strings drawn from the vocabulary and the attribute-name
+   constants are usually shared, and the inline [==] spares those the C
+   call behind [String.equal]. *)
 let equal_syntactic a b =
-  a == b
-  || (a.hash = b.hash
-     && (a.attr == b.attr || String.equal a.attr b.attr)
-     && (a.value == b.value || String.equal a.value b.value))
+  a.hash = b.hash
+  && (a.attr == b.attr || String.equal a.attr b.attr)
+  && (a.value == b.value || String.equal a.value b.value)
 
 let compare a b =
-  if a == b then 0
-  else begin
-    let c = if a.attr == b.attr then 0 else String.compare a.attr b.attr in
-    if c <> 0 then c
-    else if a.value == b.value then 0
-    else String.compare a.value b.value
-  end
+  let c = String.compare a.attr b.attr in
+  if c <> 0 then c else String.compare a.value b.value
 
 (* Definition 2: ground iff the value is atomic w.r.t. the vocabulary. *)
 let is_ground vocab t = Vocabulary.Vocab.is_ground vocab ~attr:t.attr ~value:t.value

@@ -8,9 +8,9 @@ val attr : t -> string
 val value : t -> string
 
 val equal_syntactic : t -> t -> bool
-(** Structural identity (no vocabulary involved).  O(1) on the fast path:
-    strings are interned and the hash is precomputed, so distinct terms are
-    rejected by hash and equal terms accepted by pointer comparison. *)
+(** Structural identity (no vocabulary involved).  The hash is
+    precomputed, so distinct terms are rejected in O(1); equal terms compare
+    their strings. *)
 
 val compare : t -> t -> int
 (** Total order by attribute then value; canonicalises rules. *)

@@ -55,10 +55,10 @@ let run store f =
 let count store f =
   Audit_store.fold (fun acc e -> if matches f e then acc + 1 else acc) 0 store
 
-(* Disclosures of a data category in a time window — the typical
-   compliance-officer question. *)
-let disclosures store ~data ?time_from ?time_to () =
-  run store { any with data = Some data; time_from; time_to; op = Some Audit_schema.Allow }
+(* Disclosures of a data category — the typical compliance-officer
+   question. *)
+let disclosures store ~data =
+  run store { any with data = Some data; op = Some Audit_schema.Allow }
 
 (* Exception-based accesses: the Break-The-Glass trail. *)
 let exceptions store = run store { any with status = Some Audit_schema.Exception_based }

@@ -22,11 +22,9 @@ val matches : filter -> Audit_schema.entry -> bool
 val run : Audit_store.t -> filter -> Audit_schema.entry list
 val count : Audit_store.t -> filter -> int
 
-val disclosures :
-  Audit_store.t -> data:string -> ?time_from:int -> ?time_to:int -> unit ->
-  Audit_schema.entry list
-(** Allowed accesses to a data category in a window — the typical
-    compliance-officer question. *)
+val disclosures : Audit_store.t -> data:string -> Audit_schema.entry list
+(** Allowed accesses to a data category — the typical compliance-officer
+    question. *)
 
 val exceptions : Audit_store.t -> Audit_schema.entry list
 (** The Break-The-Glass trail. *)

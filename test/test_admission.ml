@@ -260,8 +260,7 @@ let test_site_completeness_zero_entries () =
   in
   let c = Health.site_completeness empty in
   check_bool "not NaN" false (Float.is_nan c);
-  check_bool "vacuously complete" true (c = 1.0);
-  check_bool "empty site is ok" true (Health.site_ok empty)
+  check_bool "vacuously complete" true (c = 1.0)
 
 (* --- limits composition --- *)
 
@@ -388,7 +387,7 @@ let test_gated_refine_restores_limits () =
       Prima_core.Refinement.backend =
         Prima_core.Extract_patterns.Sql
           { Prima_core.Data_analysis.default_config with
-            Prima_core.Data_analysis.condition = Some "COUNT(( >" };
+            Prima_core.Data_analysis.attributes = [ "((" ] };
     };
   Prima_system.System.set_budget_classes system
     [ ("gold", rows_class ~cap:4096 ~rate:4096 ()) ];
@@ -396,7 +395,7 @@ let test_gated_refine_restores_limits () =
   (match
      Prima_system.System.refine system ~principal:(Adm.principal ~tenant:"analyst" ())
    with
-  | _ -> Alcotest.fail "a malformed HAVING condition must raise"
+  | _ -> Alcotest.fail "a malformed Algorithm 5 statement must raise"
   | exception Relational.Errors.Parse_error _ -> ());
   check_bool "standing limits restored" true
     (Prima_system.System.query_limits system = config)

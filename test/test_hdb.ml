@@ -99,7 +99,7 @@ let test_query_filters () =
        { Audit_query.any with Audit_query.time_from = Some 2; time_to = Some 3 });
   check_int "exceptions" 2 (List.length (Audit_query.exceptions store));
   check_int "disclosures of referral" 3
-    (List.length (Audit_query.disclosures store ~data:"referral" ()))
+    (List.length (Audit_query.disclosures store ~data:"referral"))
 
 let test_query_summaries () =
   let store = make_store () in

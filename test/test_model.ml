@@ -48,6 +48,46 @@ let test_rt_compare_total () =
   check_bool "then value" true (RT.compare (rt "a" "a") (rt "a" "b") < 0);
   check_int "reflexive" 0 (RT.compare (rt "a" "a") (rt "a" "a"))
 
+(* Terms are plain values: equality, order and hash must hold for equal
+   strings that are not physically shared. *)
+let test_rt_unshared_strings () =
+  let fresh s = String.concat "" [ String.sub s 0 1; String.sub s 1 (String.length s - 1) ] in
+  let a = rt "data" "referral" in
+  let b = rt (fresh "data") (fresh "referral") in
+  check_bool "strings are distinct copies" false (RT.value a == RT.value b);
+  check_bool "equal_syntactic" true (RT.equal_syntactic a b);
+  check_int "compare" 0 (RT.compare a b);
+  check_int "hash" (RT.hash a) (RT.hash b);
+  let assoc = [ ("data", "referral"); ("purpose", "treatment"); ("authorized", "nurse") ] in
+  let r1 = R.of_assoc assoc in
+  let r2 = R.of_assoc (List.map (fun (k, v) -> (fresh k, fresh v)) assoc) in
+  check_bool "rules equal" true (R.equal r1 r2);
+  check_int "rules compare" 0 (R.compare r1 r2);
+  check_int "rules hash" (R.hash r1) (R.hash r2);
+  let tbl = R.Tbl.create 4 in
+  R.Tbl.replace tbl r1 "found";
+  Alcotest.(check (option string)) "Tbl lookup" (Some "found") (R.Tbl.find_opt tbl r2)
+
+(* P_AL has one rule per audit entry with a unique [time] value.  Building
+   and dropping such rules must leave nothing behind: no table may grow with
+   the audit volume. *)
+let test_rt_no_retained_heap () =
+  let build n =
+    List.init n (fun i ->
+        R.of_assoc
+          [ ("time", string_of_int (1_000_000 + i)); ("op", "1");
+            ("user", "u" ^ string_of_int (i mod 7)); ("data", "referral");
+            ("purpose", "treatment"); ("authorized", "nurse"); ("status", "0") ])
+    |> Sys.opaque_identity |> List.length
+  in
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let built = build 50_000 in
+  Gc.compact ();
+  let retained = (Gc.stat ()).Gc.live_words - before in
+  check_int "built" 50_000 built;
+  check_bool (Printf.sprintf "retained %d words (<= 1000)" retained) true (retained <= 1000)
+
 (* --- Rule --- *)
 
 let nurse_referral_treatment =
@@ -214,6 +254,8 @@ let () =
           Alcotest.test_case "ground set (Def 3)" `Quick test_rt_ground_set;
           Alcotest.test_case "equivalence (Def 4)" `Quick test_rt_equivalence;
           Alcotest.test_case "total order" `Quick test_rt_compare_total;
+          Alcotest.test_case "equality on unshared strings" `Quick test_rt_unshared_strings;
+          Alcotest.test_case "no retained heap" `Quick test_rt_no_retained_heap;
         ] );
       ( "rule",
         [ Alcotest.test_case "non-empty" `Quick test_rule_requires_term;

@@ -92,7 +92,7 @@ let test_data_analysis_distinct_user_condition () =
   let practice = P.add_rules (F.run (S.table1_audit_policy ())) single_user_spam in
   let with_condition = (DA.analyse practice).DA.patterns in
   check_int "condition filters solo runs" 1 (List.length with_condition);
-  let no_condition = { DA.default_config with DA.condition = None } in
+  let no_condition = { DA.default_config with DA.condition = DA.No_condition } in
   check_int "without condition both" 2 (List.length (DA.analyse ~config:no_condition practice).DA.patterns)
 
 let test_data_analysis_custom_attributes () =
@@ -100,7 +100,7 @@ let test_data_analysis_custom_attributes () =
   let config =
     { DA.default_config with
       DA.attributes = [ "purpose"; "authorized" ];
-      DA.condition = None;
+      DA.condition = DA.No_condition;
     }
   in
   let patterns = (DA.analyse ~config practice).DA.patterns in
